@@ -130,7 +130,7 @@ fn main() {
     }
 
     // Cold-path sweep: `xflow profile <workload>` compiles, fuses, and
-    // runs the profiling interpreter once — a cold-cache, single-shot
+    // runs the instruction-profiled VM once — a cold-cache, single-shot
     // path. Sum the profiled run over every paper workload, unfused vs
     // fused, to measure what fusion saves the whole profiling pipeline.
     println!("\ncold path (profiled run, all workloads):");

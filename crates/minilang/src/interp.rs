@@ -1,12 +1,16 @@
-//! Tree-walking interpreter for minilang with built-in profiling.
+//! Tree-walking interpreter for minilang with built-in profiling — the
+//! *reference semantics* of the language.
 //!
-//! The interpreter serves two roles from the paper:
+//! Every run yields the two artifacts the paper's workflow needs, and the
+//! bytecode VM ([`crate::vm`]) that produces them in production is proven
+//! bit-identical to this engine by the equivalence suites:
 //!
-//! 1. **Branch profiler (gcov substitute, Section III-B):** every run
-//!    collects a [`Profile`] — per-branch arm frequencies, per-loop trip and
-//!    break/continue statistics, dynamic operation counts, and library call
-//!    counts. The translator folds these into the generated skeleton.
-//! 2. **Execution driver for the ground-truth simulator:** a [`Tracer`]
+//! 1. **Branch profile (gcov substitute, Section III-B):** a [`Profile`] —
+//!    per-branch arm frequencies, per-loop trip and break/continue
+//!    statistics, dynamic operation counts, and library call counts. The
+//!    translator folds these into the generated skeleton. Production code
+//!    obtains it from [`crate::profile`], which runs the fused VM.
+//! 2. **Event stream for the ground-truth simulator:** a [`Tracer`]
 //!    receives every operation and memory access (with flat addresses) as it
 //!    happens, attributed to the source statement, which `xflow-sim` turns
 //!    into per-block "measured" cycles.
@@ -332,18 +336,6 @@ pub struct Interp<'p, T: Tracer> {
 /// seeds observe identical branch outcomes and visit counts — the property
 /// the differential validator (`xflow-validate`) relies on.
 pub const DEFAULT_SEED: u64 = 0x5EED_1234_ABCD_0001;
-
-/// Profile a program without tracing (the "local profiled run").
-pub fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
-    let (p, _, _) = run(prog, inputs, NullTracer)?;
-    Ok(p)
-}
-
-/// [`profile`] with an explicit `rnd()` seed.
-pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<Profile, RuntimeError> {
-    let (p, _, _) = run_with_limits_seeded(prog, inputs, NullTracer, Limits::default(), seed)?;
-    Ok(p)
-}
 
 /// Run a program with a tracer; returns the profile, the tracer, and main's
 /// return value.
@@ -827,6 +819,11 @@ impl<'p, T: Tracer> Interp<'p, T> {
 mod tests {
     use super::*;
     use crate::parser::parse;
+
+    /// The reference engine's profile (`crate::profile` runs the VM).
+    fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
+        run(prog, inputs, NullTracer).map(|(p, _, _)| p)
+    }
 
     fn run_src(src: &str) -> Profile {
         let p = parse(src).unwrap();

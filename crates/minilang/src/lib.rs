@@ -5,11 +5,16 @@
 //! paper's workflow (Figure 1):
 //!
 //! * a parser for the small C-like language ([`parse`]),
-//! * a profiling interpreter ([`interp::profile`], [`interp::run`]) that
-//!   plays the role of one local gcov-instrumented run — collecting branch
-//!   outcome frequencies, loop trip counts, and dynamic instruction mixes —
-//!   and that streams operation/memory events to a [`Tracer`] for the
+//! * the profiler ([`profile`], [`profile_seeded`]) that plays the role of
+//!   one local gcov-instrumented run — collecting branch outcome
+//!   frequencies, loop trip counts, and dynamic instruction mixes. It runs
+//!   the fused bytecode VM ([`compile_fused`] + [`run_vm_with_limits_seeded`]),
+//!   which also streams operation/memory events to a [`Tracer`] for the
 //!   ground-truth simulator,
+//! * the tree-walking interpreter ([`run`], [`interp`]) — the *reference*
+//!   semantics every VM result is proven bit-identical to by the
+//!   equivalence suites and by `validate`'s engine cross-check; modeling
+//!   paths never run it,
 //! * the source-to-skeleton translator ([`translate()`]), the ROSE-engine
 //!   substitute that statically characterizes instruction mixes, array
 //!   accesses, and control structure, and folds the profile into the
@@ -46,8 +51,8 @@ pub use fuse::{
     NUM_FUSED_KINDS,
 };
 pub use interp::{
-    profile, profile_seeded, run, run_with_limits, run_with_limits_seeded, BranchStats, InputSpec, Limits, LoopStats,
-    NullTracer, OpCounts, Profile, RuntimeError, Tracer, DEFAULT_SEED,
+    run, run_with_limits, run_with_limits_seeded, BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts,
+    Profile, RuntimeError, Tracer, DEFAULT_SEED,
 };
 pub use parser::parse;
 pub use printer::print;
@@ -56,6 +61,21 @@ pub use vm::{
     compile, run_vm, run_vm_observed, run_vm_profiled, run_vm_with_limits, run_vm_with_limits_seeded, InstrProfile,
     VmProgram, NUM_OP_KINDS, OP_KIND_NAMES,
 };
+
+/// Profile a program: the "local profiled run" the translator folds into
+/// the skeleton. Runs the fused VM with default limits and
+/// [`DEFAULT_SEED`]; the [`Profile`] — and any [`RuntimeError`] — is
+/// identical to the reference interpreter's ([`run`]).
+pub fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
+    profile_seeded(prog, inputs, DEFAULT_SEED)
+}
+
+/// [`profile`] with an explicit `rnd()` seed.
+pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<Profile, RuntimeError> {
+    let vm = compile_fused(prog)?;
+    let (p, _, _) = run_vm_with_limits_seeded(&vm, inputs, NullTracer, Limits::default(), seed)?;
+    Ok(p)
+}
 
 /// Wire-format version of this crate's serializable artifacts
 /// ([`Program`], [`Profile`], [`Translation`], [`InputSpec`]).

@@ -6,10 +6,13 @@
 //! engines produce **bit-identical** results, profiles, and tracer event
 //! streams: every op-accounting rule, evaluation order, RNG draw, and array
 //! base address matches the reference (enforced by the equivalence tests in
-//! `tests/vm_equivalence.rs`). The VM exists because the ground-truth
-//! simulator interprets every dynamic operation of a workload — at
-//! evaluation scale that is tens of millions of events, where the
-//! tree-walker's per-node dispatch and name lookups dominate.
+//! `tests/vm_equivalence.rs`) — including errors, which surface with the
+//! same payload at the same point of execution. The VM (fused, see
+//! [`crate::fuse`]) runs every production execution: the profiled run
+//! behind [`crate::profile`] and the ground-truth simulator, which
+//! interprets every dynamic operation of a workload — at evaluation scale
+//! tens of millions of events, where the tree-walker's per-node dispatch
+//! and name lookups dominate.
 
 use crate::ast::*;
 use crate::interp::{
@@ -239,6 +242,12 @@ pub(crate) enum Op {
         id: MStmtId,
         slot: u16,
     },
+
+    /// A call that fails its call-graph check (unknown callee or arity
+    /// mismatch): raises the reference's error when — and only when — it
+    /// executes, after its arguments have been evaluated. Accounts as the
+    /// `Call` it stands in for.
+    Trap(Box<RuntimeError>),
 }
 
 /// Dense kind indices of the base opcodes the fusion layer composes —
@@ -348,7 +357,7 @@ fn op_kind(op: &Op) -> usize {
         Op::ElseHit(_) => 32,
         Op::BreakProfile(_) => 33,
         Op::ContinueProfile(_) => 34,
-        Op::Call { .. } => 35,
+        Op::Call { .. } | Op::Trap(_) => 35,
         Op::Ret => 36,
         Op::Print => 37,
         Op::Pop => 38,
@@ -524,15 +533,19 @@ impl InstrSink for InstrProfile {
 
 /// Compile a program to bytecode.
 ///
-/// Call-graph errors the reference reports at call time (unknown functions,
-/// arity mismatches) surface here at compile time instead.
+/// Only a missing or parameterized `main` is a compile error — the
+/// reference fails such a program before executing anything. Every other
+/// call-graph error (unknown callee, arity mismatch) is a run-time error
+/// in the reference, so it compiles to a trapping instruction that raises
+/// the identical error only if the bad call actually runs.
 pub fn compile(prog: &Program) -> Result<VmProgram, RuntimeError> {
     let fn_ids: HashMap<&str, usize> = prog.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
     let entry = *fn_ids.get("main").ok_or_else(|| RuntimeError::UnknownFunction("main".into()))?;
-    let mut funcs = Vec::with_capacity(prog.functions.len());
-    for f in &prog.functions {
-        funcs.push(compile_fn(prog, f, &fn_ids)?);
+    let expected = prog.functions[entry].params.len();
+    if expected != 0 {
+        return Err(RuntimeError::ArityMismatch { func: "main".into(), expected, got: 0 });
     }
+    let funcs = prog.functions.iter().map(|f| compile_fn(prog, f, &fn_ids)).collect();
     Ok(VmProgram { funcs, entry, n_stmts: prog.stmt_count() as usize })
 }
 
@@ -554,7 +567,7 @@ struct LoopCtx {
     continue_patches: Vec<usize>,
 }
 
-fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Result<VmFunc, RuntimeError> {
+fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> VmFunc {
     let mut c = FnCompiler {
         prog,
         fn_ids,
@@ -567,18 +580,18 @@ fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Re
     for p in &f.params {
         c.slot(p);
     }
-    c.block(&f.body)?;
+    c.block(&f.body);
     // implicit `return 0.0`
     c.code.push(Op::Num(0.0));
     c.code.push(Op::Ret);
-    Ok(VmFunc {
+    VmFunc {
         name: f.name.clone(),
         n_params: f.params.len(),
         n_slots: c.slot_names.len(),
         slot_names: c.slot_names,
         input_table: c.input_table,
         code: c.code,
-    })
+    }
 }
 
 impl<'p> FnCompiler<'p> {
@@ -598,30 +611,29 @@ impl<'p> FnCompiler<'p> {
         s
     }
 
-    fn block(&mut self, b: &Block) -> Result<(), RuntimeError> {
+    fn block(&mut self, b: &Block) {
         for s in &b.stmts {
-            self.stmt(s)?;
+            self.stmt(s);
         }
-        Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), RuntimeError> {
+    fn stmt(&mut self, s: &Stmt) {
         self.code.push(Op::StmtEnter(s.id));
         match &s.kind {
             StmtKind::LetScalar { name, init } | StmtKind::AssignScalar { name, value: init } => {
-                self.expr(init, false)?;
+                self.expr(init, false);
                 let slot = self.slot(name);
                 self.code.push(Op::StoreSlot(slot));
             }
             StmtKind::LetArray { name, len } => {
-                self.expr(len, true)?;
+                self.expr(len, true);
                 let slot = self.slot(name);
                 self.code.push(Op::NewArray(slot));
             }
             StmtKind::AssignIndex { name, index, value } => {
                 // reference order: index, then value, then store
-                self.expr(index, true)?;
-                self.expr(value, false)?;
+                self.expr(index, true);
+                self.expr(value, false);
                 let slot = self.slot(name);
                 self.code.push(Op::StoreElem(slot));
             }
@@ -632,9 +644,9 @@ impl<'p> FnCompiler<'p> {
                 // stashing it in a hidden slot.
                 let idx_slot = self.hidden_slot("idx");
                 let val_slot = self.hidden_slot("val");
-                self.expr(index, true)?;
+                self.expr(index, true);
                 self.code.push(Op::StoreSlot(idx_slot));
-                self.expr(value, false)?;
+                self.expr(value, false);
                 self.code.push(Op::StoreSlot(val_slot));
                 let arr = self.slot(name);
                 // old = a[idx]
@@ -653,11 +665,11 @@ impl<'p> FnCompiler<'p> {
                 let cur = self.hidden_slot("cur");
                 let hi_s = self.hidden_slot("hi");
                 let step_s = self.hidden_slot("step");
-                self.expr(lo, true)?;
+                self.expr(lo, true);
                 self.code.push(Op::StoreSlot(cur));
-                self.expr(hi, true)?;
+                self.expr(hi, true);
                 self.code.push(Op::StoreSlot(hi_s));
-                self.expr(step, true)?;
+                self.expr(step, true);
                 self.code.push(Op::StoreSlot(step_s));
                 self.code.push(Op::ClampStepRaw(step_s));
                 self.code.push(Op::LoopEntry(s.id));
@@ -669,7 +681,7 @@ impl<'p> FnCompiler<'p> {
                 self.code.push(Op::LoadScalar(cur));
                 self.code.push(Op::StoreSlot(var_slot));
                 self.loops.push(LoopCtx { stmt: s.id, break_patches: vec![], continue_patches: vec![] });
-                self.block(body)?;
+                self.block(body);
                 let ctx = self.loops.pop().expect("loop ctx");
                 let continue_pc = self.code.len();
                 self.code.push(Op::AdvanceRaw { cur, step: step_s });
@@ -691,12 +703,12 @@ impl<'p> FnCompiler<'p> {
                 // the reference re-attributes the condition to the while
                 // statement on every check
                 self.code.push(Op::SetCur(s.id));
-                self.expr(cond, false)?;
+                self.expr(cond, false);
                 let exit_patch = self.code.len();
                 self.code.push(Op::JumpIfZero(usize::MAX));
                 self.code.push(Op::IterTickWhile(s.id));
                 self.loops.push(LoopCtx { stmt: s.id, break_patches: vec![], continue_patches: vec![] });
-                self.block(body)?;
+                self.block(body);
                 let ctx = self.loops.pop().expect("loop ctx");
                 self.code.push(Op::Jump(head));
                 let exit_pc = self.code.len();
@@ -713,11 +725,11 @@ impl<'p> FnCompiler<'p> {
                 let mut end_patches = Vec::new();
                 for (i, (cond, body)) in arms.iter().enumerate() {
                     self.code.push(Op::SetCur(s.id));
-                    self.expr(cond, false)?;
+                    self.expr(cond, false);
                     let next_patch = self.code.len();
                     self.code.push(Op::JumpIfZero(usize::MAX));
                     self.code.push(Op::ArmHit { stmt: s.id, arm: i });
-                    self.block(body)?;
+                    self.block(body);
                     end_patches.push(self.code.len());
                     self.code.push(Op::Jump(usize::MAX));
                     let next_pc = self.code.len();
@@ -725,7 +737,7 @@ impl<'p> FnCompiler<'p> {
                 }
                 self.code.push(Op::ElseHit(s.id));
                 if let Some(e) = else_body {
-                    self.block(e)?;
+                    self.block(e);
                 }
                 let end = self.code.len();
                 for p in end_patches {
@@ -733,12 +745,12 @@ impl<'p> FnCompiler<'p> {
                 }
             }
             StmtKind::CallProc { name, args } => {
-                self.call(name, args)?;
+                self.call(name, args);
                 self.code.push(Op::Pop);
             }
             StmtKind::Return { value } => {
                 match value {
-                    Some(v) => self.expr(v, false)?,
+                    Some(v) => self.expr(v, false),
                     None => self.code.push(Op::Num(0.0)),
                 }
                 self.code.push(Op::Ret);
@@ -751,7 +763,7 @@ impl<'p> FnCompiler<'p> {
                     // this.
                     self.code.push(Op::Num(0.0));
                     self.code.push(Op::Ret);
-                    return Ok(());
+                    return;
                 };
                 let loop_id = ctx.stmt;
                 self.code.push(Op::BreakProfile(loop_id));
@@ -763,7 +775,7 @@ impl<'p> FnCompiler<'p> {
                 let Some(ctx) = self.loops.last_mut() else {
                     self.code.push(Op::Num(0.0));
                     self.code.push(Op::Ret);
-                    return Ok(());
+                    return;
                 };
                 let loop_id = ctx.stmt;
                 self.code.push(Op::ContinueProfile(loop_id));
@@ -772,11 +784,10 @@ impl<'p> FnCompiler<'p> {
                 self.loops.last_mut().unwrap().continue_patches.push(p);
             }
             StmtKind::Print { expr } => {
-                self.expr(expr, false)?;
+                self.expr(expr, false);
                 self.code.push(Op::Print);
             }
         }
-        Ok(())
     }
 
     fn patch_jump(&mut self, at: usize, target: usize) {
@@ -787,12 +798,7 @@ impl<'p> FnCompiler<'p> {
         }
     }
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), RuntimeError> {
-        let &func = self.fn_ids.get(name).ok_or_else(|| RuntimeError::UnknownFunction(name.to_string()))?;
-        let expected = self.prog.functions[func].params.len();
-        if expected != args.len() {
-            return Err(RuntimeError::ArityMismatch { func: name.to_string(), expected, got: args.len() });
-        }
+    fn call(&mut self, name: &str, args: &[Expr]) {
         for a in args {
             match a {
                 // bare names pass the value (array by reference)
@@ -800,14 +806,29 @@ impl<'p> FnCompiler<'p> {
                     let slot = self.slot(v);
                     self.code.push(Op::PushSlot(slot));
                 }
-                other => self.expr(other, false)?,
+                other => self.expr(other, false),
             }
         }
-        self.code.push(Op::Call { func, argc: args.len() });
-        Ok(())
+        // the reference checks the callee after evaluating the arguments
+        let op = match self.fn_ids.get(name) {
+            None => Op::Trap(Box::new(RuntimeError::UnknownFunction(name.to_string()))),
+            Some(&func) => {
+                let expected = self.prog.functions[func].params.len();
+                if expected == args.len() {
+                    Op::Call { func, argc: args.len() }
+                } else {
+                    Op::Trap(Box::new(RuntimeError::ArityMismatch {
+                        func: name.to_string(),
+                        expected,
+                        got: args.len(),
+                    }))
+                }
+            }
+        };
+        self.code.push(op);
     }
 
-    fn expr(&mut self, e: &Expr, idx_ctx: bool) -> Result<(), RuntimeError> {
+    fn expr(&mut self, e: &Expr, idx_ctx: bool) {
         match e {
             Expr::Num(n) => self.code.push(Op::Num(*n)),
             Expr::Var(v) => {
@@ -815,7 +836,7 @@ impl<'p> FnCompiler<'p> {
                 self.code.push(Op::LoadScalar(slot));
             }
             Expr::Index(a, idx) => {
-                self.expr(idx, true)?;
+                self.expr(idx, true);
                 let slot = self.slot(a);
                 self.code.push(Op::LoadElem(slot));
             }
@@ -829,26 +850,26 @@ impl<'p> FnCompiler<'p> {
                 self.code.push(Op::Input(idx));
             }
             Expr::Bin(l, op, r) => {
-                self.expr(l, idx_ctx)?;
-                self.expr(r, idx_ctx)?;
+                self.expr(l, idx_ctx);
+                self.expr(r, idx_ctx);
                 self.code.push(Op::Bin { op: *op, idx_ctx });
             }
             Expr::Neg(i) => {
-                self.expr(i, idx_ctx)?;
+                self.expr(i, idx_ctx);
                 self.code.push(Op::Neg { idx_ctx });
             }
             Expr::Cmp(l, op, r) => {
-                self.expr(l, idx_ctx)?;
-                self.expr(r, idx_ctx)?;
+                self.expr(l, idx_ctx);
+                self.expr(r, idx_ctx);
                 self.code.push(Op::Cmp(*op));
             }
             Expr::And(l, r) => {
                 // reference: eval lhs, count 1 iop, short-circuit
-                self.expr(l, idx_ctx)?;
+                self.expr(l, idx_ctx);
                 self.code.push(Op::CountIop);
                 let short = self.code.len();
                 self.code.push(Op::JumpIfZero(usize::MAX));
-                self.expr(r, idx_ctx)?;
+                self.expr(r, idx_ctx);
                 self.code.push(Op::NormBoolRaw);
                 let end = self.code.len();
                 self.code.push(Op::Jump(usize::MAX));
@@ -859,7 +880,7 @@ impl<'p> FnCompiler<'p> {
                 self.patch_jump(end, end_pc);
             }
             Expr::Or(l, r) => {
-                self.expr(l, idx_ctx)?;
+                self.expr(l, idx_ctx);
                 self.code.push(Op::CountIop);
                 // jump to "true" if lhs non-zero: invert via JumpIfZero to rhs
                 let to_rhs = self.code.len();
@@ -869,18 +890,18 @@ impl<'p> FnCompiler<'p> {
                 self.code.push(Op::Jump(usize::MAX));
                 let rhs_pc = self.code.len();
                 self.patch_jump(to_rhs, rhs_pc);
-                self.expr(r, idx_ctx)?;
+                self.expr(r, idx_ctx);
                 self.code.push(Op::NormBoolRaw);
                 let end_pc = self.code.len();
                 self.patch_jump(end, end_pc);
             }
             Expr::Not(i) => {
-                self.expr(i, idx_ctx)?;
+                self.expr(i, idx_ctx);
                 self.code.push(Op::Not);
             }
             Expr::Call(b, args) => {
                 for a in args.iter().take(2) {
-                    self.expr(a, idx_ctx)?;
+                    self.expr(a, idx_ctx);
                 }
                 match b {
                     Builtin::Abs => self.code.push(Op::Abs),
@@ -895,9 +916,8 @@ impl<'p> FnCompiler<'p> {
                     }
                 }
             }
-            Expr::CallFn(name, args) => self.call(name, args)?,
+            Expr::CallFn(name, args) => self.call(name, args),
         }
-        Ok(())
     }
 }
 
@@ -1075,9 +1095,12 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
     let mut steps: u64 = 0;
     let mut cur_stmt = MStmtId(0);
     let mut stack: Vec<Val> = Vec::with_capacity(64);
-    let entry = &vm.funcs[vm.entry];
-    let mut frames = vec![Frame { func: vm.entry, pc: 0, slots: vec![Val::Num(f64::NAN); 0], saved_cur: cur_stmt }];
-    frames[0].slots = unset_slots(entry.n_slots);
+    // the reference depth-checks its call into `main` too
+    if limits.max_depth == 0 {
+        return Err(RuntimeError::RecursionLimitExceeded(0));
+    }
+    let slots = unset_slots(vm.funcs[vm.entry].n_slots);
+    let mut frames = vec![Frame { func: vm.entry, pc: 0, slots, saved_cur: cur_stmt }];
 
     macro_rules! pop_num {
         () => {
@@ -1568,6 +1591,7 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
                 debug_assert_eq!(*argc, target.n_params);
                 frames.push(Frame { func: *callee, pc: 0, slots, saved_cur: cur_stmt });
             }
+            Op::Trap(err) => return Err((**err).clone()),
             Op::Ret => {
                 let f = frames.pop().expect("frame");
                 cur_stmt = f.saved_cur;
@@ -1661,15 +1685,34 @@ mod tests {
     }
 
     #[test]
-    fn compile_rejects_unknown_function() {
+    fn unknown_function_traps_at_run_time() {
         let p = parse("fn main() { ghost(); }").unwrap();
-        assert!(matches!(compile(&p), Err(RuntimeError::UnknownFunction(_))));
+        let vm = compile(&p).unwrap();
+        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        assert_eq!(err, RuntimeError::UnknownFunction("ghost".into()));
     }
 
     #[test]
-    fn compile_rejects_arity_mismatch() {
+    fn arity_mismatch_traps_at_run_time() {
         let p = parse("fn main() { f(1, 2); } fn f(x) { }").unwrap();
-        assert!(matches!(compile(&p), Err(RuntimeError::ArityMismatch { .. })));
+        let vm = compile(&p).unwrap();
+        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        assert_eq!(err, RuntimeError::ArityMismatch { func: "f".into(), expected: 1, got: 2 });
+    }
+
+    #[test]
+    fn bad_calls_in_dead_code_never_trap() {
+        let p = parse("fn main() { let x = 1; if x > 2 { nope(); f(1, 2); } print(x); } fn f(x) { }").unwrap();
+        let vm = compile(&p).unwrap();
+        let (prof, _, _) = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap();
+        assert_eq!(prof.printed, vec![1.0]);
+    }
+
+    #[test]
+    fn compile_rejects_a_missing_or_parameterized_main() {
+        assert_eq!(compile(&Program::new()).unwrap_err(), RuntimeError::UnknownFunction("main".into()));
+        let p = parse("fn main(x) { print(x); }").unwrap();
+        assert_eq!(compile(&p).unwrap_err(), RuntimeError::ArityMismatch { func: "main".into(), expected: 1, got: 0 });
     }
 
     #[test]
@@ -1689,6 +1732,11 @@ mod tests {
             run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, Limits { max_steps: 1_000_000, max_depth: 16 })
                 .unwrap_err();
         assert!(matches!(err, RuntimeError::RecursionLimitExceeded(16)));
+        // the call into `main` counts too, as in the reference
+        let limits = Limits { max_steps: 10, max_depth: 0 };
+        let err = run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, limits).unwrap_err();
+        assert_eq!(err, RuntimeError::RecursionLimitExceeded(0));
+        assert_eq!(crate::run_with_limits(&p, &InputSpec::new(), NullTracer, limits).unwrap_err(), err);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! library calls, execution counts), and the same tracer event stream
 //! (operation bundles, load/store addresses, library calls in order).
 
-use xflow_minilang::{compile, parse, run, run_vm, InputSpec, MStmtId, Profile, Tracer};
+mod corpus;
+
+use xflow_minilang::{compile, fuse_program, parse, run, run_vm, InputSpec, MStmtId, Profile, Tracer};
 
 /// Records every tracer event in order.
 #[derive(Debug, Default, PartialEq)]
@@ -219,20 +221,37 @@ fn all_workloads_match_at_test_scale() {
     }
 }
 
+/// Every engine reports the identical error — payload and message, not
+/// just its kind — and runs the dead-code programs clean.
 #[test]
 fn runtime_errors_match() {
-    for (src, what) in [
-        ("fn main() { let a = zeros(2); a[9] = 1; }", "oob"),
-        ("fn main() { let a = zeros(0 - 4); }", "negative len"),
-        ("fn main() { print(nope); }", "unbound"),
-        ("fn main() { let x = 1; print(x[0]); }", "not an array"),
-        ("fn main() { let a = zeros(2); print(a + 1); }", "array as scalar"),
-    ] {
+    let spec = InputSpec::new();
+    let engines = |src: &str| {
         let prog = parse(src).unwrap();
-        let spec = InputSpec::new();
         let r = run(&prog, &spec, xflow_minilang::NullTracer).map(|_| ());
-        let v = compile(&prog).and_then(|vm| run_vm(&vm, &spec, xflow_minilang::NullTracer).map(|_| ()));
-        assert_eq!(std::mem::discriminant(&r.unwrap_err()), std::mem::discriminant(&v.unwrap_err()), "{what}");
+        let vm = compile(&prog);
+        let v = vm.clone().and_then(|vm| run_vm(&vm, &spec, xflow_minilang::NullTracer).map(|_| ()));
+        let f = vm.and_then(|vm| run_vm(&fuse_program(&vm), &spec, xflow_minilang::NullTracer).map(|_| ()));
+        (r, v, f)
+    };
+    for (src, msg) in corpus::FAILING {
+        let (r, v, f) = engines(src);
+        let r = r.unwrap_err();
+        assert_eq!(Err(r.clone()), v, "{src}: vm");
+        assert_eq!(Err(r.clone()), f, "{src}: fused vm");
+        assert_eq!(r.to_string(), msg, "{src}");
+    }
+    for src in corpus::DEAD_CODE {
+        let (r, v, f) = engines(src);
+        assert_eq!((r.clone(), r), (v, f), "{src}");
+    }
+}
+
+/// Dead bad calls change nothing observable: same profile, same events.
+#[test]
+fn bad_calls_in_dead_code_run_clean() {
+    for src in corpus::DEAD_CODE {
+        check(src, &[]);
     }
 }
 

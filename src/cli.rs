@@ -986,7 +986,11 @@ fn main() {
 "#;
 
     fn with_demo_file(f: impl FnOnce(&str)) {
-        let dir = std::env::temp_dir().join(format!("xflow-cli-test-{}", std::process::id()));
+        // one directory per call: tests run concurrently, and each removes
+        // its directory when done
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("xflow-cli-test-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("demo.ml");
         std::fs::write(&path, DEMO).unwrap();
