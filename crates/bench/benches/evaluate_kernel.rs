@@ -4,15 +4,17 @@
 //!
 //! * `plan_evaluate` — the scalar path: one [`xflow_hotspot::ProjectionPlan::evaluate`]
 //!   per machine, allocating a fresh `Projection` each point,
-//! * `kernel_scratch` — the fast path: pre-resolved [`xflow_hw::MachineSpec`]
-//!   constants driven through [`xflow_hotspot::PlanKernel::evaluate_spec_into`]
-//!   with one warm [`xflow_hotspot::Scratch`] (zero allocations per point),
-//! * `kernel_batch` — [`xflow_hotspot::PlanKernel::evaluate_batch`], which
-//!   still materializes an owned `Projection` per point, and
+//! * `kernel_spec` — the single-point kernel path: pre-resolved
+//!   [`xflow_hw::MachineSpec`] constants driven through
+//!   [`xflow_hotspot::PlanKernel::evaluate_spec`], which materializes an
+//!   owned `Projection` per point (what hydration pays),
+//! * `kernel_columns` — the sweep path:
+//!   [`xflow_hotspot::PlanKernel::evaluate_columns`], lane-vectorized
+//!   across machines into one columnar arena, and
 //! * `spec_resolve` — the once-per-machine constant folding, to show it is
 //!   negligible against even a single evaluation.
 //!
-//! The `exp_kernel` binary records the measured scratch-path speedup in
+//! The `exp_kernel` binary records the measured columnar speedup in
 //! `results/BENCH_kernel.json` and asserts the ≥3× acceptance bound; this
 //! benchmark exists for interactive profiling of the same arms.
 
@@ -51,19 +53,17 @@ fn bench_evaluate_kernel(c: &mut Criterion) {
         })
     });
 
-    let mut scratch = kernel.make_scratch();
-    g.bench_function("kernel_scratch", |b| {
+    g.bench_function("kernel_spec", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for spec in &specs {
-                kernel.evaluate_spec_into(black_box(spec), &mut scratch);
-                acc += scratch.total_time();
+                acc += kernel.evaluate_spec(black_box(spec)).total_time;
             }
             acc
         })
     });
 
-    g.bench_function("kernel_batch", |b| b.iter(|| kernel.evaluate_batch(black_box(&specs)).len()));
+    g.bench_function("kernel_columns", |b| b.iter(|| kernel.evaluate_columns(black_box(&specs)).totals().len()));
 
     g.bench_function("spec_resolve", |b| {
         b.iter(|| {

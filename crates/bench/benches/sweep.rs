@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, Scale};
+use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, Scale, SweepOptions};
 use xflow_hotspot::{project_single_pass, ProjectionPlan};
 
 fn grid_machines() -> Vec<xflow::MachineModel> {
@@ -93,7 +93,7 @@ fn bench_sweep_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_threads_100pt");
     for threads in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| space.sweep(black_box(&app), t).points.len())
+            b.iter(|| space.sweep_opts(black_box(&app), SweepOptions::with_threads(t)).points.len())
         });
     }
     g.finish();

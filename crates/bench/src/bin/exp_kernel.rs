@@ -1,19 +1,12 @@
 //! Batched SoA evaluation kernel benchmark: scalar plan evaluation vs the
-//! machine-specialized kernel (pre-resolved [`xflow_hw::MachineSpec`]
-//! constants + reusable [`xflow_hotspot::Scratch`] buffers) vs the batch
-//! entry point vs the columnar lane-vectorized batch
-//! ([`xflow_hotspot::PlanKernel::evaluate_columns`]), plus work-stealing
-//! sweep throughput on the same grid.
+//! columnar lane-vectorized batch
+//! ([`xflow_hotspot::PlanKernel::evaluate_columns`], pre-resolved
+//! [`xflow_hw::MachineSpec`] constants), plus work-stealing sweep
+//! throughput on the same grid.
 //!
-//! The batch arm is split into kernel compute ([`evaluate_spec_into`] into
-//! a warm scratch) and Projection materialization
-//! (`batch_materialize_overhead_seconds`) — the overhead the columnar SoA
-//! output removes. Every timed path is first checked `to_bits`-identical
-//! to the scalar evaluator — the kernel is a performance refactoring,
-//! never a numeric one. Writes `results/BENCH_kernel.json` for the CI
-//! regression gate.
-//!
-//! [`evaluate_spec_into`]: xflow_hotspot::PlanKernel::evaluate_spec_into
+//! Every timed path is first checked `to_bits`-identical to the scalar
+//! evaluator — the kernel is a performance refactoring, never a numeric
+//! one. Writes `results/BENCH_kernel.json` for the CI regression gate.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -58,26 +51,12 @@ fn main() {
     let kernel = plan.kernel();
     let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
 
-    // correctness first: every kernel path must be bit-identical to the
-    // scalar evaluator before any of its timings mean anything
-    let batch = kernel.evaluate_batch(&specs);
+    // correctness first: the columnar rows and every hydrated point must
+    // be bit-identical to the scalar evaluator before any timing means
+    // anything
     let columns = kernel.evaluate_columns(&specs);
-    let mut scratch = kernel.make_scratch();
-    for (i, ((machine, spec), from_batch)) in machines.iter().zip(&specs).zip(&batch).enumerate() {
+    for (i, machine) in machines.iter().enumerate() {
         let scalar = plan.evaluate(machine, &Roofline);
-        kernel.evaluate_spec_into(spec, &mut scratch);
-        let from_scratch = scratch.projection(&kernel);
-        for (label, candidate) in [("batch", from_batch), ("scratch", &from_scratch)] {
-            assert_eq!(
-                candidate.total_time.to_bits(),
-                scalar.total_time.to_bits(),
-                "{label} path diverged on {}",
-                machine.name
-            );
-            for (node, (a, b)) in candidate.node_costs.iter().zip(&scalar.node_costs).enumerate() {
-                assert_eq!(a.total.to_bits(), b.total.to_bits(), "{label} node {node} on {}", machine.name);
-            }
-        }
         assert_eq!(
             columns.total(i).to_bits(),
             scalar.total_time.to_bits(),
@@ -92,8 +71,12 @@ fn main() {
                 machine.name
             );
         }
+        let hydrated = columns.hydrate(&kernel, i);
+        for (node, (a, b)) in hydrated.node_costs.iter().zip(&scalar.node_costs).enumerate() {
+            assert_eq!(a.total.to_bits(), b.total.to_bits(), "hydrated node {node} on {}", machine.name);
+        }
     }
-    println!("bit-identity: batch + scratch + columnar paths match scalar evaluate on all {n} points");
+    println!("bit-identity: columnar rows + hydration match scalar evaluate on all {n} points");
 
     // scalar baseline: the per-machine plan evaluation the kernel replaces
     let eval_point_s = time_n(reps, || {
@@ -102,37 +85,15 @@ fn main() {
         }
     }) / n as f64;
 
-    // kernel compute alone: pre-resolved specs + one warm scratch, zero
-    // allocations, no Projection materialized
-    let mut scratch = kernel.make_scratch();
-    let kernel_point_s = time_n(reps, || {
-        for spec in &specs {
-            kernel.evaluate_spec_into(spec, &mut scratch);
-            std::hint::black_box(scratch.total_time());
-        }
-    }) / n as f64;
-
-    // batch entry point: includes materializing a Projection per machine —
-    // the per-point overhead vs the kernel arm is pure materialization
-    let batch_point_s = time_n(reps, || {
-        std::hint::black_box(kernel.evaluate_batch(&specs).len());
-    }) / n as f64;
-    let batch_materialize_overhead_s = (batch_point_s - kernel_point_s).max(0.0);
-
     // columnar SoA batch: lane-vectorized across machines, dense column
     // output, no per-point Projection
     let batch_soa_point_s = time_n(reps, || {
         std::hint::black_box(kernel.evaluate_columns(&specs).totals().len());
     }) / n as f64;
 
-    let speedup_kernel_vs_evaluate = eval_point_s / kernel_point_s;
-    let speedup_batch_vs_evaluate = eval_point_s / batch_point_s;
     let speedup_batch_soa_vs_evaluate = eval_point_s / batch_soa_point_s;
 
     println!("scalar evaluate (per point):        {eval_point_s:>12.3e} s");
-    println!("kernel + warm scratch (per point):  {kernel_point_s:>12.3e} s  ({speedup_kernel_vs_evaluate:.1}x)");
-    println!("evaluate_batch (per point):         {batch_point_s:>12.3e} s  ({speedup_batch_vs_evaluate:.1}x)");
-    println!("  of which materialization:         {batch_materialize_overhead_s:>12.3e} s");
     println!("columnar SoA batch (per point):     {batch_soa_point_s:>12.3e} s  ({speedup_batch_soa_vs_evaluate:.1}x)");
 
     // work-stealing sweep throughput over the same grid (columnar arena
@@ -155,12 +116,7 @@ fn main() {
         grid_points: usize,
         lane_width: f64,
         eval_point_seconds: f64,
-        kernel_point_seconds: f64,
-        batch_point_seconds: f64,
         batch_soa_point_seconds: f64,
-        batch_materialize_overhead_seconds: f64,
-        speedup_kernel_vs_evaluate: f64,
-        speedup_batch_vs_evaluate: f64,
         speedup_batch_soa_vs_evaluate: f64,
         available_cores: usize,
         sweep_threads: usize,
@@ -172,12 +128,7 @@ fn main() {
         grid_points: n,
         lane_width: lane_width as f64,
         eval_point_seconds: eval_point_s,
-        kernel_point_seconds: kernel_point_s,
-        batch_point_seconds: batch_point_s,
         batch_soa_point_seconds: batch_soa_point_s,
-        batch_materialize_overhead_seconds: batch_materialize_overhead_s,
-        speedup_kernel_vs_evaluate,
-        speedup_batch_vs_evaluate,
         speedup_batch_soa_vs_evaluate,
         available_cores: cores,
         sweep_threads,
@@ -193,10 +144,6 @@ fn main() {
     // runner) keeps a noise-tolerant floor, with the committed-baseline
     // gate (bench_gate, 20% tolerance) catching real regressions
     let min_speedup = if test_scale { 2.0 } else { 3.0 };
-    assert!(
-        speedup_kernel_vs_evaluate >= min_speedup,
-        "specialized kernel must be >={min_speedup}x the scalar evaluator per point (got {speedup_kernel_vs_evaluate:.1}x)"
-    );
     assert!(
         speedup_batch_soa_vs_evaluate >= min_speedup,
         "columnar SoA batch must be >={min_speedup}x the scalar evaluator per point (got {speedup_batch_soa_vs_evaluate:.1}x)"

@@ -60,9 +60,8 @@ pub struct StmtCost {
 pub struct StmtCosts {
     costs: Vec<StmtCost>,
     present: Vec<bool>,
-    /// IDs of present slots in first-touch order: makes [`StmtCosts::clear`]
-    /// and the batched kernel's metrics resolution O(recorded) with no
-    /// O(capacity) scan (the scan dominated warm-scratch evaluations).
+    /// IDs of present slots in first-touch order (`len` without an
+    /// O(capacity) scan).
     touched: Vec<u32>,
 }
 
@@ -112,62 +111,9 @@ impl StmtCosts {
         &mut self.costs[i]
     }
 
-    /// Clear all recorded costs, keeping the allocated capacity (the
-    /// scratch-reuse path of the batched kernel). Only slots that were
-    /// present are rezeroed, so clearing is O(recorded), not O(capacity).
-    pub fn clear(&mut self) {
-        for &i in &self.touched {
-            self.costs[i as usize] = StmtCost::default();
-            self.present[i as usize] = false;
-        }
-        self.touched.clear();
-    }
-
     /// Iterate recorded costs in ascending statement-ID order.
     pub fn iter(&self) -> impl Iterator<Item = (StmtId, &StmtCost)> + '_ {
         self.costs.iter().enumerate().filter(|(i, _)| self.present[*i]).map(|(i, c)| (StmtId(i as u32), c))
-    }
-
-    /// Overwrite the metrics of every recorded statement from a dense
-    /// table indexed by statement ID (the batched kernel's post-loop
-    /// resolution of precomputed metrics). O(recorded).
-    pub fn set_metrics_from(&mut self, table: &[BlockMetrics]) {
-        for &i in &self.touched {
-            self.costs[i as usize].metrics = table[i as usize];
-        }
-    }
-
-    /// Raw slot access with **no** presence bookkeeping: the batched
-    /// kernel's hot loop writes time fields through this and installs the
-    /// precomputed presence set afterwards via [`StmtCosts::adopt`].
-    /// Callers must guarantee `i` is within the primed capacity and ends
-    /// up either adopted or wiped.
-    #[inline]
-    pub(crate) fn slot_mut(&mut self, i: u32) -> &mut StmtCost {
-        &mut self.costs[i as usize]
-    }
-
-    /// Install a precomputed presence set (statement IDs in first-touch
-    /// order), replacing any previous bookkeeping. Slots must already hold
-    /// their final values.
-    pub(crate) fn adopt(&mut self, ids: &[u32]) {
-        for &i in ids {
-            self.present[i as usize] = true;
-        }
-        self.touched.clear();
-        self.touched.extend_from_slice(ids);
-    }
-
-    /// Full O(capacity) reset of every slot and all bookkeeping, for
-    /// recovery paths where the touched list may not cover all writes.
-    pub(crate) fn wipe(&mut self) {
-        for c in &mut self.costs {
-            *c = StmtCost::default();
-        }
-        for p in &mut self.present {
-            *p = false;
-        }
-        self.touched.clear();
     }
 }
 

@@ -18,12 +18,12 @@
 //! depend only on the kernel, so they are computed once per kernel and
 //! shared into every arena by reference count.
 //!
-//! Hydration is re-evaluation: [`ProjectionColumns::hydrate`] re-runs the
-//! kernel's scalar spec path for the stored [`MachineSpec`] of that point.
-//! By the kernel's bit-identity contract this reproduces exactly the
-//! projection the eager path would have stored, at roughly the cost of
-//! one kernel evaluation — far cheaper than having cloned every point's
-//! projection up front on the off chance someone asks.
+//! Hydration is re-evaluation: [`ProjectionColumns::hydrate`] re-runs
+//! [`PlanKernel::evaluate_spec`] for the stored [`MachineSpec`] of that
+//! point. By the kernel's bit-identity contract this reproduces exactly
+//! the projection [`crate::ProjectionPlan::evaluate`] returns, at roughly
+//! the cost of one kernel evaluation — far cheaper than having cloned
+//! every point's projection up front on the off chance someone asks.
 //!
 //! Filling is chunked so the work-stealing sweep scheduler can evaluate
 //! disjoint point ranges concurrently: workers produce [`ColumnsChunk`]
@@ -37,7 +37,7 @@ use xflow_hw::MachineSpec;
 use xflow_skeleton::StmtId;
 
 use crate::analysis::Projection;
-use crate::kernel::{PlanKernel, Scratch};
+use crate::kernel::PlanKernel;
 
 /// Sentinel slot index for "block aggregates into no statement".
 pub(crate) const NO_SLOT: u32 = u32::MAX;
@@ -56,11 +56,9 @@ pub(crate) struct SlotLayout {
     pub(crate) slot_of: Vec<u32>,
     /// Kernel block index → slot index ([`NO_SLOT`] for blocks that
     /// aggregate into no statement).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) block_slot: Vec<u32>,
     /// Slot index of every predicted-participating statement, in
     /// first-touch order — the rows a predicted lane writes back.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) touched: Vec<u32>,
 }
 
@@ -281,19 +279,11 @@ impl ProjectionColumns {
     }
 
     /// Materialize the full [`Projection`] of one point by re-evaluating
-    /// its stored spec through the kernel (fresh scratch).
+    /// its stored spec through the kernel — bit-identical to
+    /// [`crate::ProjectionPlan::evaluate`] on that point's machine.
     pub fn hydrate(&self, kernel: &PlanKernel, i: usize) -> Projection {
-        let mut scratch = kernel.make_scratch();
-        self.hydrate_into(kernel, i, &mut scratch)
-    }
-
-    /// [`ProjectionColumns::hydrate`] reusing a caller scratch (warm:
-    /// allocation-free). Bit-identical to the projection the eager batch
-    /// path would have stored for this point.
-    pub fn hydrate_into(&self, kernel: &PlanKernel, i: usize, scratch: &mut Scratch) -> Projection {
         assert_eq!(kernel.fingerprint(), self.fingerprint, "columns hydrated through a foreign kernel");
-        kernel.evaluate_spec_into(&self.specs[i], scratch);
-        scratch.projection(kernel)
+        kernel.evaluate_spec(&self.specs[i])
     }
 }
 
@@ -411,7 +401,6 @@ pub(crate) struct ColumnsLayout<'a> {
     pub(crate) maps: &'a SlotLayout,
     pub(crate) specs: &'a [MachineSpec],
     pub(crate) fingerprint: u64,
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) slots: usize,
 }
 
@@ -419,7 +408,6 @@ pub(crate) struct ColumnsLayout<'a> {
 /// directly (serial path) or a [`ColumnsChunk`]'s buffers (parallel
 /// path). Rows are relative to the target's own range.
 pub(crate) struct ColumnsTarget<'a> {
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) len: usize,
     pub(crate) slots: usize,
     pub(crate) total: &'a mut [f64],
@@ -436,16 +424,15 @@ pub(crate) struct ColumnsTarget<'a> {
 }
 
 impl ColumnsTarget<'_> {
-    /// Fill target-relative row `r` from a scratch holding a completed
-    /// scalar evaluation — the fill path for lane remainders, degenerate
-    /// machines, and `simd`-less builds. The block-level aggregates sum
+    /// Fill target-relative row `r` from a completed scalar evaluation —
+    /// the fill path for degenerate lanes. The block-level aggregates sum
     /// the node costs in node order, which is bit-identical to the lane
     /// path's block-order accumulation because structural nodes carry
     /// exact zeros.
-    pub(crate) fn fill_from_scratch(&mut self, r: usize, slot_of: &[u32], scratch: &Scratch) {
-        self.total[r] = scratch.total_time();
+    pub(crate) fn fill_from_projection(&mut self, r: usize, slot_of: &[u32], p: &Projection) {
+        self.total[r] = p.total_time;
         let (mut tc, mut tm, mut ov) = (0.0, 0.0, 0.0);
-        for nc in scratch.node_costs() {
+        for nc in &p.node_costs {
             tc += nc.per_invocation.tc * nc.enr;
             tm += nc.per_invocation.tm * nc.enr;
             ov += nc.per_invocation.overlap * nc.enr;
@@ -456,7 +443,7 @@ impl ColumnsTarget<'_> {
         self.delta[r] = achieved_delta(tc, tm, ov);
         self.memory_bound[r] = tm > tc;
         let base = r * self.slots;
-        for (stmt, cost) in scratch.per_stmt().iter() {
+        for (stmt, cost) in p.per_stmt.iter() {
             let slot = slot_of[stmt.0 as usize] as usize;
             self.stmt_total[base + slot] = cost.total;
             self.stmt_tc[base + slot] = cost.tc;

@@ -23,7 +23,7 @@ pub mod select;
 pub use analysis::{project, project_single_pass, NodeCost, Projection, StmtCost, StmtCosts};
 pub use columns::{ColumnsChunk, ProjectionColumns, SlotCost};
 pub use hotpath::{extract, render, HotPath};
-pub use kernel::{lane_width, PlanKernel, Scratch};
+pub use kernel::{lane_width, PlanKernel};
 pub use miniapp::build_miniapp;
 pub use plan::{PlanBlock, ProjectionPlan};
 pub use quality::{coverage_curve, quality_at, quality_curve, top_k_overlap, MeasuredTimes};
@@ -32,12 +32,12 @@ pub use select::{select, Candidate, Criteria, Greedy, HotSpot, Selection};
 use xflow_skeleton::{Program, StaticCounts, StmtId};
 
 /// Wire-format version of this crate's serializable artifacts
-/// ([`ProjectionPlan`] and its blocks).
+/// ([`ProjectionPlan`] and its blocks, [`PlanKernel`]).
 ///
 /// Bump whenever a serialized layout changes shape; content-addressed caches
 /// fold this into their keys so stale artifacts are never deserialized.
 pub fn schema_version() -> u32 {
-    1
+    2
 }
 
 /// Build selection candidates from a projection: every skeleton statement

@@ -260,30 +260,9 @@ impl ProjectionPlan {
 
     /// Compile the structure-of-arrays evaluation kernel for this plan
     /// (see [`crate::PlanKernel`]). Build once per application; the kernel
-    /// plus a reusable [`crate::Scratch`] is the fast path for evaluating
-    /// many machines.
+    /// is the fast path for evaluating many machines.
     pub fn kernel(&self) -> crate::PlanKernel {
         crate::PlanKernel::new(self)
-    }
-
-    /// Evaluate the plan on a batch of machines, sharing one kernel and
-    /// one scratch across the batch. Machines the model can
-    /// [`PerfModel::specialize`] for go through the SoA kernel; the rest
-    /// fall back to the scalar [`ProjectionPlan::evaluate`]. Every
-    /// projection is bit-identical to evaluating that machine alone.
-    pub fn evaluate_batch(&self, machines: &[MachineModel], model: &dyn PerfModel) -> Vec<Projection> {
-        let kernel = self.kernel();
-        let mut scratch = kernel.make_scratch();
-        machines
-            .iter()
-            .map(|machine| match model.specialize(machine) {
-                Some(spec) => {
-                    kernel.evaluate_spec_into(&spec, &mut scratch);
-                    scratch.projection(&kernel)
-                }
-                None => self.evaluate(machine, model),
-            })
-            .collect()
     }
 }
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example cross_machine
 //! ```
 
-use xflow::{bgq, compare, xeon, DesignSpace, ModeledApp, Scale};
+use xflow::{bgq, compare, xeon, DesignSpace, ModeledApp, Scale, SweepOptions};
 use xflow_hotspot::top_k_overlap;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
 
     // both machines projected from the same plan, in one sweep
     let machines = [bgq(), xeon()];
-    let sweep = DesignSpace::from_machines(machines.clone()).sweep(&app, 2);
+    let sweep = DesignSpace::from_machines(machines.clone()).sweep_opts(&app, SweepOptions::with_threads(2));
     let mut rankings = Vec::new();
     for (m, point) in machines.iter().zip(&sweep.points) {
         // drill into this point: hydrate its full projection from the

@@ -11,7 +11,7 @@
 //! cargo run --release --example parallel_scaling
 //! ```
 
-use xflow::{bgq, Axis, DesignSpace, InputSpec, ModeledApp, EVAL_CRITERIA};
+use xflow::{bgq, Axis, DesignSpace, InputSpec, ModeledApp, SweepOptions, EVAL_CRITERIA};
 
 const SRC: &str = r#"
 // Hybrid workload: a flop-dense phase and a streaming phase, both parallel.
@@ -52,7 +52,7 @@ fn main() {
     // a core-count axis swept from one projection plan; the baseline point
     // (1 core) anchors the speedup column via the sweep's deltas
     let cores = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-    let sweep = DesignSpace::grid(bgq(), vec![Axis::cores(&cores)]).sweep(&app, 0);
+    let sweep = DesignSpace::grid(bgq(), vec![Axis::cores(&cores)]).sweep_opts(&app, SweepOptions::default());
     let deltas = sweep.deltas();
     for (point, delta) in sweep.points.iter().zip(&deltas) {
         let mp = sweep.hydrate(&app, point.index);

@@ -112,7 +112,7 @@ struct Invocation {
     scale: Scale,
     seed: Option<u64>,
     axes: Vec<Axis>,
-    sweep_opts: SweepOptions,
+    sweep_opts: SweepOptions<'static>,
     /// `serve`: bind address.
     addr: Option<String>,
     /// Machines directory as given (the registry pre-scan also reads it).
@@ -479,7 +479,7 @@ fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<Stri
             combos.push((w, m));
         }
     }
-    let results = crate::oracle::run_chunked(&combos, inv.jobs, |_, &(w, m)| {
+    let results = crate::pool::run_chunked(&combos, inv.jobs, |_, &(w, m)| {
         xflow_validate::validate_workload(w, inv.scale, m, libs, &cfg).map_err(|e| e.to_string())
     });
     let mut out = String::new();
@@ -902,10 +902,11 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             }
             let app = modeled(inv, src, session_out)?;
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
-            let sweep = match &inv.recorder {
-                Some(rec) => space.sweep_opts_observed(&app, &crate::Roofline, inv.sweep_opts, rec.as_ref()),
-                None => space.sweep_opts(&app, inv.sweep_opts),
+            let opts = match &inv.recorder {
+                Some(rec) => SweepOptions { recorder: rec.as_ref(), ..inv.sweep_opts },
+                None => inv.sweep_opts,
             };
+            let sweep = space.sweep_opts(&app, opts);
             let mut out = format!("base machine: {}   points: {}\n\n", inv.machine.name, space.len());
             // a --top below the point count ranks straight off the totals
             // column (best first, no hydration); otherwise point order

@@ -52,6 +52,7 @@ pub mod explain;
 pub mod multirank;
 pub mod oracle;
 pub mod pipeline;
+pub mod pool;
 pub mod serve;
 pub mod session;
 pub mod store;
@@ -62,13 +63,14 @@ pub use compare::{compare, evaluate, Comparison};
 pub use explain::{explain, explain_observed, ChainStep, Explain, ExplainBlock, ExplainUnit};
 pub use multirank::{format_scaling, project_scaling, BspSpec, RankPoint, ScalingKind};
 pub use oracle::{
-    build_corpus, builtin_programs, dir_programs, generated_programs, run_chunked, Corpus, CorpusRecord, OracleOptions,
+    build_corpus, builtin_programs, dir_programs, generated_programs, Corpus, CorpusRecord, OracleOptions,
     OracleProgram,
 };
 pub use pipeline::{
     default_library, fold_projection, initial_env, lib_time_by_function, MachineProjection, Measured, ModeledApp,
     PipelineError,
 };
+pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
 pub use session::{default_session, CacheStats, Session, SessionConfig, StageKeys, StageStats};
 pub use store::{ArtifactStore, DiskCacheReport, StoreConfig};
@@ -87,7 +89,7 @@ pub use xflow_validate;
 pub use xflow_workloads;
 
 // …and the most common types at the top level.
-pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Scratch, Selection};
+pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Selection};
 pub use xflow_hw::{bgq, generic, knl, xeon, MachineBuilder, MachineModel, MachineSpec, PerfModel, Roofline};
 pub use xflow_minilang::InputSpec;
 pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, ProgressTicker, Recorder, TraceSnapshot};

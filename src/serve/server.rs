@@ -42,6 +42,10 @@ use super::protocol::{
     SweepResponse, WorkloadRequest,
 };
 
+/// Largest design-space grid `/v1/sweep` evaluates; a request whose axis
+/// lengths multiply past it (or overflow) is answered 413.
+const MAX_SWEEP_POINTS: usize = 65_536;
+
 /// Configuration for [`Server::bind`].
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
@@ -442,6 +446,12 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
     };
     if r.axes.is_empty() {
         return HttpResponse::error(400, "sweep needs at least one axis: {\"axes\":[{\"name\":...,\"values\":[...]}]}");
+    }
+    // the grid is the product of the axis lengths: refuse it before any
+    // machine is built, so no request can ask for an unbounded allocation
+    let points = r.axes.iter().try_fold(1usize, |acc, a| acc.checked_mul(a.values.len()));
+    if points.is_none_or(|p| p > MAX_SWEEP_POINTS) {
+        return HttpResponse::error(413, &format!("sweep grid exceeds {MAX_SWEEP_POINTS} points"));
     }
     let app = match model(inner, &r) {
         Ok(app) => app,

@@ -1,10 +1,9 @@
 //! Bit-identity guarantee of the columnar sweep arena.
 //!
 //! [`xflow_hotspot::ProjectionColumns`] stores every sweep point as dense
-//! columns and hydrates a full [`Projection`] only on demand; with the
-//! `simd` feature the arena is filled in machine lanes of
-//! [`xflow_hotspot::lane_width`]. Both properties are only sound if every
-//! stored value — and every hydrated projection — is `f64::to_bits`-
+//! columns and hydrates a full [`Projection`] only on demand; the arena is
+//! filled in machine lanes of [`xflow_hotspot::lane_width`]. Both
+//! properties are only sound if every stored value — and every hydrated projection — is `f64::to_bits`-
 //! identical to the scalar `ProjectionPlan::evaluate`, for *any* plan,
 //! *any* machine list (including lengths that are not lane multiples and
 //! degenerate machines that defeat the participation prediction), and
@@ -109,12 +108,11 @@ proptest! {
         let cols = kernel.evaluate_columns(&specs);
         prop_assert!(check_columns(&cols).is_empty(), "invariants: {:?}", check_columns(&cols));
 
-        let mut scratch = kernel.make_scratch();
         for (i, machine) in machines.iter().enumerate() {
             let ctx = format!("seed {plan_seed}, point {i}/{n_machines} on {}", machine.name);
             let scalar = plan.evaluate(machine, &Roofline);
             assert_point_matches_scalar(&cols, i, &scalar, &ctx);
-            let hydrated = cols.hydrate_into(&kernel, i, &mut scratch);
+            let hydrated = cols.hydrate(&kernel, i);
             assert_hydrated_matches_scalar(&hydrated, &scalar, &ctx);
         }
 
@@ -123,7 +121,7 @@ proptest! {
         let mut start = 0;
         while start < specs.len() {
             let end = (start + chunk).min(specs.len());
-            let part = kernel.evaluate_columns_chunk(&chunked, start..end, &mut scratch);
+            let part = kernel.evaluate_columns_chunk(&chunked, start..end);
             chunked.install(part);
             start = end;
         }

@@ -3,15 +3,15 @@
 //! [`xflow_hotspot::PlanKernel`] (flat column layout + pre-resolved
 //! [`xflow_hw::MachineSpec`] constants) is a pure re-layout of
 //! [`xflow_hotspot::ProjectionPlan::evaluate`]: for every workload and
-//! every machine, every path through the kernel — scratch reuse, batch
-//! evaluation, the non-specializing fallback, and the work-stealing sweep
-//! scheduler — must produce `f64::to_bits`-identical projections to the
-//! scalar evaluator, for any thread count and chunk size.
+//! every machine, every path through the kernel — the columnar lane fill,
+//! single-point hydration, and the work-stealing sweep scheduler — must
+//! produce `f64::to_bits`-identical results to the scalar evaluator, for
+//! any thread count and chunk size.
 
 use proptest::prelude::*;
 use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
 use xflow_hotspot::{Projection, ProjectionPlan};
-use xflow_hw::{ClassicRoofline, MachineModel, MachineSpec, PerfModel, Roofline};
+use xflow_hw::{MachineModel, MachineSpec, Roofline};
 
 fn machines() -> Vec<MachineModel> {
     vec![bgq(), xeon(), knl(), generic()]
@@ -46,76 +46,66 @@ fn kernel_matches_evaluate_on_all_workloads_and_machines() {
         let app = ModeledApp::from_workload(&w, Scale::Test).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let plan = ProjectionPlan::new(&app.bet, libs);
         let kernel = plan.kernel();
-        let mut scratch = kernel.make_scratch();
-        for machine in machines() {
-            let ctx = format!("{} on {}", w.name, machine.name);
-            let scalar = plan.evaluate(&machine, &Roofline);
-
-            // spec fast path, reusing one scratch across machines
-            let spec = Roofline.specialize(&machine).expect("extended roofline specializes");
-            kernel.evaluate_spec_into(&spec, &mut scratch);
-            assert_projection_bits(&scratch.projection(&kernel), &scalar, &format!("spec path: {ctx}"));
-
-            // generic evaluate_into resolves the same spec internally
-            let mut fresh = kernel.make_scratch();
-            kernel.evaluate_into(&machine, &Roofline, &mut fresh);
-            assert_projection_bits(&fresh.projection(&kernel), &scalar, &format!("evaluate_into: {ctx}"));
-        }
-
-        // batch path: one call, all machines, same bits
+        // one columnar fill over every machine: a full lane group
         let specs: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
-        let batch = kernel.evaluate_batch(&specs);
-        for (projection, machine) in batch.iter().zip(machines()) {
-            let scalar = plan.evaluate(&machine, &Roofline);
-            assert_projection_bits(projection, &scalar, &format!("batch: {} on {}", w.name, machine.name));
-        }
+        let cols = kernel.evaluate_columns(&specs);
+        for (i, machine) in machines().iter().enumerate() {
+            let ctx = format!("{} on {}", w.name, machine.name);
+            let scalar = plan.evaluate(machine, &Roofline);
 
-        // the plan-level convenience wrapper agrees too
-        let via_plan = plan.evaluate_batch(&machines(), &Roofline);
-        for (projection, machine) in via_plan.iter().zip(machines()) {
-            let scalar = plan.evaluate(&machine, &Roofline);
-            assert_projection_bits(projection, &scalar, &format!("plan batch: {} on {}", w.name, machine.name));
+            // the arena row: total, block aggregates, statement costs
+            assert_eq!(cols.total(i).to_bits(), scalar.total_time.to_bits(), "columns total: {ctx}");
+            let (tc, tm, ov) = cols.block_totals(i);
+            let (mut stc, mut stm, mut sov) = (0.0f64, 0.0f64, 0.0f64);
+            for nc in &scalar.node_costs {
+                stc += nc.per_invocation.tc * nc.enr;
+                stm += nc.per_invocation.tm * nc.enr;
+                sov += nc.per_invocation.overlap * nc.enr;
+            }
+            assert_eq!(tc.to_bits(), stc.to_bits(), "columns tc: {ctx}");
+            assert_eq!(tm.to_bits(), stm.to_bits(), "columns tm: {ctx}");
+            assert_eq!(ov.to_bits(), sov.to_bits(), "columns overlap: {ctx}");
+            let row: Vec<_> = cols.stmt_row(i).collect();
+            assert_eq!(row.len(), scalar.per_stmt.len(), "columns row arity: {ctx}");
+            for sc in row {
+                let s = scalar.per_stmt.get(&sc.stmt).unwrap_or_else(|| panic!("missing {:?}: {ctx}", sc.stmt));
+                assert_eq!(sc.total.to_bits(), s.total.to_bits(), "{:?} total: {ctx}", sc.stmt);
+                assert_eq!(sc.tc.to_bits(), s.tc.to_bits(), "{:?} tc: {ctx}", sc.stmt);
+                assert_eq!(sc.tm.to_bits(), s.tm.to_bits(), "{:?} tm: {ctx}", sc.stmt);
+                assert_eq!(sc.overlap.to_bits(), s.overlap.to_bits(), "{:?} overlap: {ctx}", sc.stmt);
+            }
+
+            // hydration: the full projection of the point
+            assert_projection_bits(&cols.hydrate(&kernel, i), &scalar, &format!("hydrate: {ctx}"));
         }
     }
 }
 
 #[test]
-fn non_specializing_models_fall_back_bit_identically() {
-    let libs = xflow::default_library();
-    for w in [xflow_workloads::cfd(), xflow_workloads::srad()] {
-        let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
-        let plan = ProjectionPlan::new(&app.bet, libs);
-        let kernel = plan.kernel();
-        let mut scratch = kernel.make_scratch();
-        for machine in machines() {
-            assert!(ClassicRoofline.specialize(&machine).is_none(), "ablation model must not specialize");
-            kernel.evaluate_into(&machine, &ClassicRoofline, &mut scratch);
-            let scalar = plan.evaluate(&machine, &ClassicRoofline);
-            let ctx = format!("fallback: {} on {}", w.name, machine.name);
-            assert_projection_bits(&scratch.projection(&kernel), &scalar, &ctx);
-        }
-    }
-}
-
-#[test]
-fn alternating_hot_and_cold_scratch_never_changes_bits() {
-    // a scratch warmed on one machine, reused on another, then handed to a
-    // different kernel (forcing a cold rebuild) must stay exact throughout
-    let libs = xflow::default_library();
-    let cfd = ModeledApp::from_workload(&xflow_workloads::cfd(), Scale::Test).unwrap();
-    let sord = ModeledApp::from_workload(&xflow_workloads::sord(), Scale::Test).unwrap();
-    let plan_a = ProjectionPlan::new(&cfd.bet, libs);
-    let plan_b = ProjectionPlan::new(&sord.bet, libs);
-    let (ka, kb) = (plan_a.kernel(), plan_b.kernel());
-    let mut scratch = ka.make_scratch();
-    for round in 0..3 {
-        for machine in machines() {
-            for (kernel, plan, name) in [(&ka, &plan_a, "cfd"), (&kb, &plan_b, "sord")] {
-                let spec = MachineSpec::resolve(&machine);
-                kernel.evaluate_spec_into(&spec, &mut scratch);
-                let scalar = plan.evaluate(&machine, &Roofline);
-                let ctx = format!("round {round}: {name} on {}", machine.name);
-                assert_projection_bits(&scratch.projection(kernel), &scalar, &ctx);
+fn sweeps_over_degenerate_machines_match_project_on_for_every_schedule() {
+    // infinite-frequency machines underflow every cycle time, so their
+    // lanes defeat the participation prediction and replay through the
+    // single-point path — placed inside full lane groups and at the tail
+    let app = ModeledApp::from_workload(&xflow_workloads::cfd(), Scale::Test).unwrap();
+    let machines: Vec<MachineModel> = (0..11)
+        .map(|i| {
+            let mut m = machines()[i % 4].clone();
+            if i % 3 == 1 {
+                m.freq_ghz = f64::INFINITY;
+            }
+            m
+        })
+        .collect();
+    let space = DesignSpace::from_machines(machines.clone());
+    for threads in [1, 2, 4, 8] {
+        for chunk in [1, 3, 64] {
+            let sweep = space.sweep_opts(&app, SweepOptions { threads, chunk, ..SweepOptions::default() });
+            for (i, machine) in machines.iter().enumerate() {
+                let direct = app.project_on(machine);
+                let ctx = format!("threads {threads} chunk {chunk} point {i}");
+                assert_eq!(sweep.points[i].total.to_bits(), direct.total.to_bits(), "{ctx}");
+                assert_eq!(sweep.unit_ranking(i), direct.ranking(), "{ctx}");
+                assert_projection_bits(&sweep.hydrate(&app, i).projection, &direct.projection, &ctx);
             }
         }
     }
@@ -138,8 +128,8 @@ proptest! {
         let mlps: Vec<f64> = (0..mlp_steps).map(|i| 2.0 * (1 << i) as f64).collect();
         let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&bws), Axis::mlp(&mlps)]);
 
-        let serial = space.sweep(&app, 1);
-        let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk });
+        let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk, ..SweepOptions::default() });
 
         prop_assert_eq!(serial.points.len(), scheduled.points.len());
         for (a, b) in serial.points.iter().zip(&scheduled.points) {

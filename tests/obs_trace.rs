@@ -4,12 +4,13 @@
 
 use serde::Deserialize;
 use std::sync::Arc;
+use xflow::xflow_obs::{OwnedAttr, SpanRecord};
 use xflow::xflow_workloads::cfd;
 use xflow::{
     explain, explain_observed, Axis, CollectingRecorder, DesignSpace, InputSpec, ModeledApp, Scale, Session,
-    SessionConfig,
+    SessionConfig, SweepOptions,
 };
-use xflow_hw::{bgq, generic, Roofline};
+use xflow_hw::{bgq, generic};
 
 const SRC: &str = r#"
 fn main() {
@@ -90,36 +91,41 @@ fn chrome_trace_is_schema_valid_and_spans_nest() {
 fn collected_totals_are_thread_count_invariant() {
     let app = ModeledApp::from_source(SRC, &InputSpec::new()).unwrap();
     let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&[20.0, 40.0, 80.0]), Axis::cores(&[8.0, 16.0, 32.0])]);
+    let attr = |s: &SpanRecord, key: &str| match s.attrs.iter().find(|(k, _)| k == key) {
+        Some((_, OwnedAttr::U64(v))) => *v as usize,
+        other => panic!("`{}` span needs a u64 `{key}`, got {other:?}", s.name),
+    };
 
-    let mut baseline: Option<(u64, u64, Vec<u64>, Vec<u64>)> = None;
+    let mut baseline: Option<Vec<u64>> = None;
     for threads in [1, 2, 4] {
-        let rec = CollectingRecorder::new();
-        let sweep = space.sweep_observed(&app, &Roofline, threads, &rec);
-        assert_eq!(sweep.points.len(), 9);
+        for chunk in [0, 1, 2, 4] {
+            let ctx = format!("threads {threads} chunk {chunk}");
+            let rec = CollectingRecorder::new();
+            let sweep = space.sweep_opts(&app, SweepOptions { threads, chunk, recorder: &rec });
+            assert_eq!(sweep.points.len(), 9);
+            assert_eq!(rec.counter_value("sweep.points"), 9, "{ctx}");
 
-        let points = rec.counter_value("sweep.points");
-        let blocks_counted = rec.counter_value("plan.blocks");
-        // arrival order varies with the thread count, but the multiset of
-        // recorded block costs must not
-        let mut block_bits: Vec<u64> = rec.block_provenance().iter().map(|b| b.total.to_bits()).collect();
-        block_bits.sort_unstable();
-        let mut point_bits: Vec<u64> = sweep.points.iter().map(|p| p.total.to_bits()).collect();
-        point_bits.sort_unstable();
-
-        match &baseline {
-            None => baseline = Some((points, blocks_counted, block_bits, point_bits)),
-            Some((p, b, bb, pb)) => {
-                assert_eq!(points, *p, "sweep.points differs at {threads} threads");
-                assert_eq!(blocks_counted, *b, "plan.blocks differs at {threads} threads");
-                assert_eq!(&block_bits, bb, "block provenance differs at {threads} threads");
-                assert_eq!(&point_bits, pb, "point totals differ at {threads} threads");
+            // point totals never depend on the schedule
+            let point_bits: Vec<u64> = sweep.points.iter().map(|p| p.total.to_bits()).collect();
+            match &baseline {
+                None => baseline = Some(point_bits),
+                Some(b) => assert_eq!(&point_bits, b, "point totals differ at {ctx}"),
             }
-        }
 
-        // every point produced its own span, tagged with the machine name
-        let snap = rec.snapshot();
-        let point_spans: Vec<_> = snap.spans.iter().filter(|s| s.name == "sweep.point").collect();
-        assert_eq!(point_spans.len(), 9);
+            // one `sweep` span, and `sweep.chunk` spans that cover every
+            // point exactly once — no per-point spans
+            let snap = rec.snapshot();
+            assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep").count(), 1, "{ctx}");
+            assert!(snap.spans.iter().all(|s| s.name != "sweep.point"), "{ctx}");
+            let mut covered = vec![0u32; 9];
+            for s in snap.spans.iter().filter(|s| s.name == "sweep.chunk") {
+                let start = attr(s, "start");
+                for hit in &mut covered[start..start + attr(s, "points")] {
+                    *hit += 1;
+                }
+            }
+            assert_eq!(covered, vec![1; 9], "chunk spans must cover each point once at {ctx}");
+        }
     }
 }
 

@@ -199,3 +199,26 @@ fn sweep_endpoint_ranks_points_and_validates_axes() {
     assert!(resp.contains("unknown axis parameter"), "{resp}");
     server.stop();
 }
+
+#[test]
+fn oversized_sweep_grids_get_413_and_the_server_survives() {
+    let server = start_server(None);
+    let axis = |name: &str, n: usize| {
+        let values: Vec<String> = (1..=n).map(|v| v.to_string()).collect();
+        format!(r#"{{"name":"{name}","values":[{}]}}"#, values.join(","))
+    };
+    // ~10 KB asking for 10^9 machines, a grid just past the cap, and one
+    // whose point count overflows usize
+    let huge = [axis("dram_bw_gbs", 1000), axis("mlp", 1000), axis("cores", 1000)].join(",");
+    let over = [axis("dram_bw_gbs", 257), axis("mlp", 256)].join(",");
+    let overflow = (0..7).map(|_| axis("mlp", 1000)).collect::<Vec<_>>().join(",");
+    for axes in [huge, over, overflow] {
+        let body = format!(r#"{{"workload":"cfd","axes":[{axes}]}}"#);
+        let (status, _, resp) = request(server.addr(), "POST", "/v1/sweep", &body);
+        assert_eq!(status, 413, "{resp}");
+        assert!(resp.contains("65536"), "{resp}");
+    }
+    let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use xflow::{
     bgq, explain, generic, ArtifactStore, Axis, DesignSpace, InputSpec, ModeledApp, Scale, Session, StoreConfig,
+    SweepOptions,
 };
 
 fn workload_source(name: &str) -> (String, InputSpec) {
@@ -128,7 +129,7 @@ fn answer(kind: usize, app: &ModeledApp) -> Vec<u64> {
         // sweep: every point's total in point order
         _ => {
             let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&[4.0, 16.0]), Axis::mlp(&[2.0, 8.0])]);
-            space.sweep(app, 2).points.iter().map(|p| p.total.to_bits()).collect()
+            space.sweep_opts(app, SweepOptions::with_threads(2)).points.iter().map(|p| p.total.to_bits()).collect()
         }
     }
 }
