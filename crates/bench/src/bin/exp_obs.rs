@@ -5,15 +5,16 @@
 //! the recorder was threaded through (no `enabled()` gate, no provenance
 //! emission); bit-equality against `ProjectionPlan::evaluate` is asserted
 //! before anything is timed, so the two arms provably do the same
-//! arithmetic. Min-of-K sampling over a design grid then bounds the cost
-//! of the disabled telemetry path, which must stay under 2%.
+//! arithmetic. Min-of-K sampling over a design grid, with the two arms
+//! interleaved sample by sample so a slow stretch of a shared host hits
+//! both alike, then bounds the cost of the disabled telemetry path, which
+//! must stay under 2%.
 //!
 //! Writes `results/BENCH_obs.json`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline, SweepOptions};
-use xflow_bench::opts;
+use xflow_bench::{min_of_k_interleaved, opts};
 use xflow_hotspot::{NodeCost, Projection, ProjectionPlan, StmtCosts};
 use xflow_hw::{MachineModel, PerfModel};
 
@@ -47,19 +48,6 @@ fn evaluate_baseline(plan: &ProjectionPlan, machine: &MachineModel, model: &dyn 
     Projection { node_costs, per_stmt, total_time, unknown_libs: plan.unknown_libs().to_vec() }
 }
 
-/// Minimum seconds per grid pass over `samples` samples of `passes` passes.
-fn min_of_k<F: FnMut()>(samples: usize, passes: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / passes as f64);
-    }
-    best
-}
-
 fn main() {
     let o = opts();
     let w = xflow_workloads::cfd();
@@ -81,23 +69,26 @@ fn main() {
         assert_eq!(base.total_time.to_bits(), noop.total_time.to_bits(), "replica must match evaluate on {}", m.name);
     }
 
-    let (samples, passes) = if matches!(o.scale, xflow::Scale::Test) { (5, 40) } else { (9, 400) };
-    let baseline_s = min_of_k(samples, passes, || {
+    let (samples, passes) = if matches!(o.scale, xflow::Scale::Test) { (41, 40) } else { (41, 400) };
+    let mut arm_baseline = || {
         for m in &machines {
             std::hint::black_box(evaluate_baseline(plan, m, &Roofline).total_time);
         }
-    });
-    let noop_s = min_of_k(samples, passes, || {
+    };
+    let mut arm_noop = || {
         for m in &machines {
             std::hint::black_box(plan.evaluate_observed(m, &Roofline, &NoopRecorder).total_time);
         }
-    });
-    let collecting_s = min_of_k(samples, passes.min(40), || {
+    };
+    let t = min_of_k_interleaved(samples, passes, &mut [&mut arm_baseline, &mut arm_noop]);
+    let (baseline_s, noop_s) = (t[0], t[1]);
+    let mut arm_collecting = || {
         let rec = CollectingRecorder::new();
         for m in &machines {
             std::hint::black_box(plan.evaluate_observed(m, &Roofline, &rec).total_time);
         }
-    });
+    };
+    let collecting_s = min_of_k_interleaved(samples.min(9), passes.min(40), &mut [&mut arm_collecting])[0];
 
     let noop_overhead = noop_s / baseline_s - 1.0;
     let collecting_overhead = collecting_s / baseline_s - 1.0;
@@ -106,16 +97,19 @@ fn main() {
     println!("collecting recorder, per grid pass:     {collecting_s:>12.3e} s  ({:+.2}%)", collecting_overhead * 100.0);
 
     // sweep-level sanity: the public sweep path (noop) vs a traced sweep
-    let sweep_noop_s = min_of_k(samples, passes.min(40) / 4 + 1, || {
+    let mut arm_sweep_noop = || {
         let space = DesignSpace::from_machines(machines.iter().cloned());
         std::hint::black_box(space.sweep_opts(&app, SweepOptions::with_threads(1)).points.len());
-    });
-    let sweep_traced_s = min_of_k(samples, passes.min(40) / 4 + 1, || {
+    };
+    let mut arm_sweep_traced = || {
         let space = DesignSpace::from_machines(machines.iter().cloned());
         let rec = CollectingRecorder::new();
         let opts = SweepOptions { recorder: &rec, ..SweepOptions::with_threads(1) };
         std::hint::black_box(space.sweep_opts(&app, opts).points.len());
-    });
+    };
+    let t =
+        min_of_k_interleaved(samples.min(9), passes.min(40) / 4 + 1, &mut [&mut arm_sweep_noop, &mut arm_sweep_traced]);
+    let (sweep_noop_s, sweep_traced_s) = (t[0], t[1]);
     println!("\nsweep, noop recorder:                   {sweep_noop_s:>12.3e} s");
     println!("sweep, collecting recorder:             {sweep_traced_s:>12.3e} s");
 

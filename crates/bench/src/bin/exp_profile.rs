@@ -24,32 +24,11 @@
 //! Writes `results/BENCH_profile.json`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::NoopRecorder;
-use xflow_bench::opts;
+use xflow_bench::{min_of_k_interleaved, opts};
 use xflow_minilang::{
     compile, fuse_program, run_vm, run_vm_observed, run_vm_profiled, Limits, NullTracer, DEFAULT_SEED,
 };
-
-/// Minimum seconds per run for each arm, sampled *interleaved*: every
-/// round times all arms back-to-back, so a slow stretch of the machine
-/// (frequency drop, a neighbor burning the core) hits all arms alike
-/// instead of biasing whichever arm happened to run during it.
-/// Sequential per-arm sampling on a single shared core was measured to
-/// swing the noop/baseline ratio by ±20%; interleaving bounds it.
-fn min_of_k_interleaved(samples: usize, passes: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; arms.len()];
-    for _ in 0..samples {
-        for (i, arm) in arms.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                arm();
-            }
-            best[i] = best[i].min(t0.elapsed().as_secs_f64() / passes as f64);
-        }
-    }
-    best
-}
 
 fn main() {
     let o = opts();

@@ -29,9 +29,8 @@
 //! Writes `results/BENCH_sim.json`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::{bgq, build_corpus, builtin_programs, run_chunked, xeon, OracleOptions, Session};
-use xflow_bench::opts;
+use xflow_bench::{min_of_k_interleaved, opts};
 use xflow_hw::MachineModel;
 use xflow_minilang::{compile, run_vm_with_limits_seeded, InputSpec, Limits, MStmtId, Program, Tracer, DEFAULT_SEED};
 use xflow_sim::{hardware_lib_mix, simulate_with_seed, AccessLevel, SimConfig, SimReport};
@@ -171,23 +170,6 @@ mod frozen {
             self.dram_bytes
         }
     }
-}
-
-/// Minimum seconds per run for each arm, sampled *interleaved*: every
-/// round times all arms back-to-back, so a slow stretch of the machine
-/// hits all arms alike instead of biasing one (see `exp_profile`).
-fn min_of_k_interleaved(samples: usize, passes: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; arms.len()];
-    for _ in 0..samples {
-        for (i, arm) in arms.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            for _ in 0..passes {
-                arm();
-            }
-            best[i] = best[i].min(t0.elapsed().as_secs_f64() / passes as f64);
-        }
-    }
-    best
 }
 
 /// The pre-PR HashMap cost tracer, copied verbatim from the sim crate's

@@ -16,6 +16,26 @@ use std::collections::HashMap;
 use xflow::{bgq, compare, xeon, Comparison, MachineModel, Measured, ModeledApp, Scale, Workload};
 use xflow_skeleton::StmtId;
 
+/// Minimum seconds per run for each arm, sampled *interleaved*: every
+/// round times all arms back-to-back, so a slow stretch of the machine
+/// (frequency drop, a neighbor burning the core) hits all arms alike
+/// instead of biasing whichever arm happened to run during it.
+/// Sequential per-arm sampling on a single shared core was measured to
+/// swing a noop/baseline ratio by ±20%; interleaving bounds it.
+pub fn min_of_k_interleaved(samples: usize, passes: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for _ in 0..samples {
+        for (i, arm) in arms.iter_mut().enumerate() {
+            let t0 = std::time::Instant::now();
+            for _ in 0..passes {
+                arm();
+            }
+            best[i] = best[i].min(t0.elapsed().as_secs_f64() / passes as f64);
+        }
+    }
+    best
+}
+
 /// Parsed common CLI options.
 pub struct Opts {
     pub scale: Scale,

@@ -25,11 +25,14 @@
 //! the cost of one kernel evaluation — far cheaper than having cloned
 //! every point's projection up front on the off chance someone asks.
 //!
-//! Filling is chunked so the work-stealing sweep scheduler can evaluate
-//! disjoint point ranges concurrently: workers produce [`ColumnsChunk`]
-//! buffers via [`crate::PlanKernel::evaluate_columns_chunk`] and the
-//! merged arena installs them in index order, keeping the output
-//! independent of scheduling.
+//! Filling is in place: [`ProjectionColumns::split_targets`] carves the
+//! arena into [`ColumnsTarget`]s over disjoint, consecutive point ranges,
+//! and [`crate::PlanKernel::fill_columns`] writes each target's rows
+//! straight into the arena. A parallel sweep hands one target to each
+//! pool chunk; the serial [`crate::PlanKernel::evaluate_columns`] fills a
+//! single target covering every point. Every row is written by exactly
+//! one target, so the output is independent of how the ranges were
+//! scheduled.
 
 use std::sync::Arc;
 
@@ -98,9 +101,9 @@ pub struct SlotCost {
 /// Dense per-point sweep results in structure-of-arrays layout.
 ///
 /// Built zeroed by [`ProjectionColumns::new`] from the kernel whose plan
-/// the sweep evaluates, then filled by
-/// [`crate::PlanKernel::evaluate_columns`] (serial) or by installing
-/// per-range [`ColumnsChunk`]s (parallel). Every stored value is
+/// the sweep evaluates, then filled in place through the
+/// [`ColumnsTarget`]s of [`ProjectionColumns::split_targets`] (or in one
+/// call by [`crate::PlanKernel::evaluate_columns`]). Every stored value is
 /// bit-identical to what the scalar evaluator produces for that point —
 /// the per-statement rows match the hydrated projection's `per_stmt`
 /// table and the totals match its `total_time`, `to_bits` for `to_bits`.
@@ -119,8 +122,8 @@ pub struct ProjectionColumns {
     /// The machine spec of every point, retained for lazy hydration.
     specs: Vec<MachineSpec>,
     /// Fingerprint of the kernel the layout was built from; hydration and
-    /// chunk evaluation check it so a columns arena is never mixed with a
-    /// foreign kernel.
+    /// filling check it so a columns arena is never mixed with a foreign
+    /// kernel.
     fingerprint: u64,
 }
 
@@ -197,26 +200,12 @@ impl ProjectionColumns {
         self.flags[i]
     }
 
-    /// One statement matrix (`m` = 0 total, 1 tc, 2 tm, 3 overlap).
-    fn stmt_matrix(&self, m: usize) -> &[f64] {
-        let nk = self.n * self.slot_count();
-        let base = self.n * 5 + m * nk;
-        &self.data[base..base + nk]
-    }
-
     /// Iterate the present statement slots of one point row.
     pub fn stmt_row(&self, i: usize) -> impl Iterator<Item = SlotCost> + '_ {
-        let k = self.slot_count();
-        let base = i * k;
-        let present = &self.flags[self.n + base..self.n + base + k];
-        (0..k).filter(move |&s| present[s]).map(move |s| SlotCost {
-            slot: s,
-            stmt: StmtId(self.layout.slots[s]),
-            total: self.stmt_matrix(0)[base + s],
-            tc: self.stmt_matrix(1)[base + s],
-            tm: self.stmt_matrix(2)[base + s],
-            overlap: self.stmt_matrix(3)[base + s],
-        })
+        let (n, k) = (self.n, self.slot_count());
+        let row = i * k..(i + 1) * k;
+        let mat = |m: usize| &self.data[5 * n + m * n * k..][row.clone()];
+        dense_row(&self.layout.slots, &self.flags[n..][row.clone()], [mat(0), mat(1), mat(2), mat(3)])
     }
 
     /// Point indices ranked by ascending total time (ties keep point
@@ -235,47 +224,44 @@ impl ProjectionColumns {
         self.fingerprint
     }
 
-    /// Install an evaluated chunk at its point range.
-    pub fn install(&mut self, chunk: ColumnsChunk) {
-        let k = self.slot_count();
-        assert_eq!(chunk.slots, k, "chunk layout mismatch");
-        assert!(chunk.start + chunk.len <= self.points(), "chunk range out of bounds");
-        let (n, len) = (self.n, chunk.len);
-        let (a, b) = (chunk.start, chunk.start + chunk.len);
-        for m in 0..5 {
-            self.data[m * n + a..m * n + b].copy_from_slice(&chunk.data[m * len..(m + 1) * len]);
-        }
-        let nk = n * k;
-        let lk = len * k;
-        for m in 0..4 {
-            self.data[5 * n + m * nk + a * k..5 * n + m * nk + b * k]
-                .copy_from_slice(&chunk.data[5 * len + m * lk..5 * len + (m + 1) * lk]);
-        }
-        self.flags[a..b].copy_from_slice(&chunk.flags[..len]);
-        self.flags[n + a * k..n + b * k].copy_from_slice(&chunk.flags[len..]);
-    }
-
-    /// Split the arena into its read-only layout and a mutable fill
-    /// target over `range` — the direct (serial) fill path, which writes
-    /// results in place with no intermediate chunk buffer.
-    pub(crate) fn layout_and_target(
-        &mut self,
-        range: std::ops::Range<usize>,
-    ) -> (ColumnsLayout<'_>, ColumnsTarget<'_>) {
-        let k = self.layout.slots.len();
-        let layout = ColumnsLayout { maps: &self.layout, specs: &self.specs, fingerprint: self.fingerprint, slots: k };
-        let target = split_target(&mut self.data, &mut self.flags, self.n, k, range.start, range.end);
-        (layout, target)
-    }
-
-    /// The read-only layout view shared by parallel chunk fills.
-    pub(crate) fn layout(&self) -> ColumnsLayout<'_> {
-        ColumnsLayout {
+    /// Split the arena into mutable fill targets of `chunk` consecutive
+    /// points each (the last one may be shorter), in point order. Each
+    /// target borrows its own disjoint rows, so targets can be filled
+    /// concurrently by [`crate::PlanKernel::fill_columns`] and the result
+    /// is the same whichever target is filled first.
+    ///
+    /// # Panics
+    /// If `chunk` is 0.
+    pub fn split_targets(&mut self, chunk: usize) -> Vec<ColumnsTarget<'_>> {
+        assert!(chunk > 0, "fill targets need at least one point each");
+        let (n, k) = (self.n, self.layout.slots.len());
+        let (mut data, mut flags) = (&mut self.data[..], &mut self.flags[..]);
+        // every row, cut section by section in the order documented on
+        // `data` and `flags`
+        let mut rest = ColumnsTarget {
+            start: 0,
+            len: n,
+            slots: k,
             maps: &self.layout,
             specs: &self.specs,
             fingerprint: self.fingerprint,
-            slots: self.layout.slots.len(),
+            total: cut(&mut data, n),
+            tc: cut(&mut data, n),
+            tm: cut(&mut data, n),
+            overlap: cut(&mut data, n),
+            delta: cut(&mut data, n),
+            stmt_total: cut(&mut data, n * k),
+            stmt_tc: cut(&mut data, n * k),
+            stmt_tm: cut(&mut data, n * k),
+            stmt_overlap: cut(&mut data, n * k),
+            memory_bound: cut(&mut flags, n),
+            stmt_present: cut(&mut flags, n * k),
+        };
+        let mut targets = Vec::with_capacity(n.div_ceil(chunk));
+        while !rest.is_empty() {
+            targets.push(rest.take_front(chunk.min(rest.len)));
         }
+        targets
     }
 
     /// Materialize the full [`Projection`] of one point by re-evaluating
@@ -287,129 +273,44 @@ impl ProjectionColumns {
     }
 }
 
-/// Carve a [`ColumnsTarget`] over rows `a..b` out of consolidated arena
-/// (or chunk) buffers laid out as documented on
-/// [`ProjectionColumns::data`], where `n` is the buffer's total row count.
-fn split_target<'a>(
-    data: &'a mut [f64],
-    flags: &'a mut [bool],
-    n: usize,
-    k: usize,
-    a: usize,
-    b: usize,
-) -> ColumnsTarget<'a> {
-    let (total, rest) = data.split_at_mut(n);
-    let (tc, rest) = rest.split_at_mut(n);
-    let (tm, rest) = rest.split_at_mut(n);
-    let (overlap, rest) = rest.split_at_mut(n);
-    let (delta, rest) = rest.split_at_mut(n);
-    let nk = n * k;
-    let (stmt_total, rest) = rest.split_at_mut(nk);
-    let (stmt_tc, rest) = rest.split_at_mut(nk);
-    let (stmt_tm, stmt_overlap) = rest.split_at_mut(nk);
-    let (memory_bound, stmt_present) = flags.split_at_mut(n);
-    ColumnsTarget {
-        len: b - a,
-        slots: k,
-        total: &mut total[a..b],
-        tc: &mut tc[a..b],
-        tm: &mut tm[a..b],
-        overlap: &mut overlap[a..b],
-        delta: &mut delta[a..b],
-        memory_bound: &mut memory_bound[a..b],
-        stmt_total: &mut stmt_total[a * k..b * k],
-        stmt_tc: &mut stmt_tc[a * k..b * k],
-        stmt_tm: &mut stmt_tm[a * k..b * k],
-        stmt_overlap: &mut stmt_overlap[a * k..b * k],
-        stmt_present: &mut stmt_present[a * k..b * k],
-    }
+/// Detach the first `len` elements of `s`, leaving the rest in `s`.
+fn cut<'a, T>(s: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(s).split_at_mut(len);
+    *s = tail;
+    head
 }
 
-/// An evaluated contiguous range of sweep points, produced by
-/// [`crate::PlanKernel::evaluate_columns_chunk`] and merged into the
-/// arena with [`ProjectionColumns::install`]. Carries the same columns as
-/// the arena (consolidated buffers), relative to its own range.
-#[derive(Debug, Clone)]
-pub struct ColumnsChunk {
+/// The present statement slots of one dense row, given the row's `k`
+/// presence flags and its `k` entries of the four statement matrices
+/// (total, tc, tm, overlap).
+fn dense_row<'a>(
+    slots: &'a [u32],
+    present: &'a [bool],
+    [total, tc, tm, overlap]: [&'a [f64]; 4],
+) -> impl Iterator<Item = SlotCost> + 'a {
+    (0..present.len()).filter(move |&s| present[s]).map(move |s| SlotCost {
+        slot: s,
+        stmt: StmtId(slots[s]),
+        total: total[s],
+        tc: tc[s],
+        tm: tm[s],
+        overlap: overlap[s],
+    })
+}
+
+/// The mutable rows of one contiguous point range of a
+/// [`ProjectionColumns`] arena, from [`ProjectionColumns::split_targets`].
+/// [`crate::PlanKernel::fill_columns`] writes the range's results through
+/// it in place; afterwards its rows can be read back (chunk-relative row
+/// `r` is arena point `start() + r`) before the arena is released.
+pub struct ColumnsTarget<'a> {
     pub(crate) start: usize,
     pub(crate) len: usize,
     pub(crate) slots: usize,
-    /// Same section order as [`ProjectionColumns::data`], sized by `len`.
-    pub(crate) data: Vec<f64>,
-    /// Same section order as [`ProjectionColumns::flags`], sized by `len`.
-    pub(crate) flags: Vec<bool>,
-}
-
-impl ColumnsChunk {
-    pub(crate) fn zeroed(start: usize, len: usize, slots: usize) -> Self {
-        Self { start, len, slots, data: vec![0.0; len * 5 + len * slots * 4], flags: vec![false; len + len * slots] }
-    }
-
-    /// First point index of the range this chunk covers.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of points in the chunk.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the chunk covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total projected seconds of chunk-relative row `r`.
-    pub fn total(&self, r: usize) -> f64 {
-        self.data[r]
-    }
-
-    /// Block-level `(Tc, Tm, To)` aggregates of chunk-relative row `r`.
-    pub fn block_totals(&self, r: usize) -> (f64, f64, f64) {
-        let len = self.len;
-        (self.data[len + r], self.data[2 * len + r], self.data[3 * len + r])
-    }
-
-    /// Iterate the present statement slots of chunk-relative row `r`.
-    pub fn stmt_row<'a>(&'a self, r: usize, cols: &'a ProjectionColumns) -> impl Iterator<Item = SlotCost> + 'a {
-        let k = self.slots;
-        let lk = self.len * k;
-        let base = r * k;
-        let mat = move |m: usize| &self.data[5 * self.len + m * lk..5 * self.len + (m + 1) * lk];
-        let present = &self.flags[self.len + base..self.len + base + k];
-        (0..k).filter(move |&s| present[s]).map(move |s| SlotCost {
-            slot: s,
-            stmt: StmtId(cols.layout.slots[s]),
-            total: mat(0)[base + s],
-            tc: mat(1)[base + s],
-            tm: mat(2)[base + s],
-            overlap: mat(3)[base + s],
-        })
-    }
-
-    /// Mutable fill target over the chunk's whole (relative) range — the
-    /// parallel workers' fill path.
-    pub(crate) fn target(&mut self) -> ColumnsTarget<'_> {
-        split_target(&mut self.data, &mut self.flags, self.len, self.slots, 0, self.len)
-    }
-}
-
-/// Read-only arena layout shared by every fill: slot maps, specs, and the
-/// kernel fingerprint the layout was derived from.
-pub(crate) struct ColumnsLayout<'a> {
     pub(crate) maps: &'a SlotLayout,
+    /// The machine specs of this range's points.
     pub(crate) specs: &'a [MachineSpec],
     pub(crate) fingerprint: u64,
-    pub(crate) slots: usize,
-}
-
-/// Mutable column slices a fill writes into — either a range of the arena
-/// directly (serial path) or a [`ColumnsChunk`]'s buffers (parallel
-/// path). Rows are relative to the target's own range.
-pub(crate) struct ColumnsTarget<'a> {
-    pub(crate) len: usize,
-    pub(crate) slots: usize,
     pub(crate) total: &'a mut [f64],
     pub(crate) tc: &'a mut [f64],
     pub(crate) tm: &'a mut [f64],
@@ -424,6 +325,71 @@ pub(crate) struct ColumnsTarget<'a> {
 }
 
 impl ColumnsTarget<'_> {
+    /// Detach the first `rows` points into their own target, leaving the
+    /// rest in `self`.
+    fn take_front(&mut self, rows: usize) -> Self {
+        let k = self.slots;
+        let (specs, rest) = self.specs.split_at(rows);
+        self.specs = rest;
+        let front = ColumnsTarget {
+            start: self.start,
+            len: rows,
+            slots: k,
+            maps: self.maps,
+            specs,
+            fingerprint: self.fingerprint,
+            total: cut(&mut self.total, rows),
+            tc: cut(&mut self.tc, rows),
+            tm: cut(&mut self.tm, rows),
+            overlap: cut(&mut self.overlap, rows),
+            delta: cut(&mut self.delta, rows),
+            memory_bound: cut(&mut self.memory_bound, rows),
+            stmt_total: cut(&mut self.stmt_total, rows * k),
+            stmt_tc: cut(&mut self.stmt_tc, rows * k),
+            stmt_tm: cut(&mut self.stmt_tm, rows * k),
+            stmt_overlap: cut(&mut self.stmt_overlap, rows * k),
+            stmt_present: cut(&mut self.stmt_present, rows * k),
+        };
+        self.start += rows;
+        self.len -= rows;
+        front
+    }
+
+    /// Arena index of the target's first point.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Number of points in the target.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the target covers no points.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Total projected seconds of target-relative row `r`.
+    pub fn total(&self, r: usize) -> f64 {
+        self.total[r]
+    }
+
+    /// Iterate the present statement slots of target-relative row `r`.
+    pub fn stmt_row(&self, r: usize) -> impl Iterator<Item = SlotCost> + '_ {
+        let row = r * self.slots..(r + 1) * self.slots;
+        dense_row(
+            &self.maps.slots,
+            &self.stmt_present[row.clone()],
+            [
+                &self.stmt_total[row.clone()],
+                &self.stmt_tc[row.clone()],
+                &self.stmt_tm[row.clone()],
+                &self.stmt_overlap[row],
+            ],
+        )
+    }
+
     /// Fill target-relative row `r` from a completed scalar evaluation —
     /// the fill path for degenerate lanes. The block-level aggregates sum
     /// the node costs in node order, which is bit-identical to the lane

@@ -10,10 +10,11 @@
 //! [`MachineSpec`] pre-resolves per machine.
 //!
 //! Sweeps evaluate [`lane_width`] machines per pass into a columnar
-//! [`ProjectionColumns`] arena ([`PlanKernel::evaluate_columns`],
-//! [`PlanKernel::evaluate_columns_chunk`]); [`PlanKernel::evaluate_spec`]
-//! is the one per-point path, which hydrates a single point and replays
-//! degenerate lanes.
+//! [`ProjectionColumns`] arena, in place through its fill targets
+//! ([`PlanKernel::fill_columns`], or [`PlanKernel::evaluate_columns`] for
+//! a whole machine list at once); [`PlanKernel::evaluate_spec`] is the one
+//! per-point path, which hydrates a single point and replays degenerate
+//! lanes.
 //!
 //! Bit-identity contract: every path accumulates in exactly the order of
 //! [`crate::ProjectionPlan::evaluate`], with each block time computed by
@@ -26,7 +27,7 @@ use xflow_hw::{BlockMetrics, MachineSpec};
 use xflow_skeleton::StmtId;
 
 use crate::analysis::{NodeCost, Projection, StmtCosts};
-use crate::columns::{ColumnsChunk, ProjectionColumns};
+use crate::columns::{ColumnsTarget, ProjectionColumns};
 use crate::plan::ProjectionPlan;
 
 /// Column sentinel for "block aggregates into no statement".
@@ -254,24 +255,19 @@ impl PlanKernel {
 
     /// Columnar batch evaluation: evaluate every spec and return the dense
     /// [`ProjectionColumns`] arena — no per-point `Projection`
-    /// materialization. The machines are processed in lanes of
-    /// [`lane_width`]; every stored value is bit-identical to the scalar
-    /// evaluator.
+    /// materialization. The whole arena is filled in place as one
+    /// [`ColumnsTarget`] by [`PlanKernel::fill_columns`].
     pub fn evaluate_columns(&self, specs: &[MachineSpec]) -> ProjectionColumns {
         let mut cols = ProjectionColumns::new(self, specs.to_vec());
-        let n = cols.points();
-        // fill the arena in place — no intermediate chunk buffer to
-        // allocate, zero, and copy back
-        let (layout, mut target) = cols.layout_and_target(0..n);
-        self.fill_columns(0, &layout, &mut target);
+        for mut target in cols.split_targets(specs.len().max(1)) {
+            self.fill_columns(&mut target);
+        }
         cols
     }
 
-    /// Evaluate the contiguous point range `range` of a columns arena into
-    /// a mergeable [`ColumnsChunk`] (install it with
-    /// [`ProjectionColumns::install`]). This is the sweep scheduler's unit
-    /// of work: workers share the read-only arena layout and each fills
-    /// disjoint ranges.
+    /// Evaluate every point of `target` and write its rows in place — the
+    /// sweep scheduler's unit of work: each pool chunk fills one of the
+    /// disjoint targets of [`ProjectionColumns::split_targets`].
     ///
     /// Groups of [`lane_width`] machines run through the lane-packed
     /// [`xflow_hw::SpecLanes`] loop (a short tail group pads its spare
@@ -279,32 +275,19 @@ impl PlanKernel {
     /// participation diverging from the prediction, e.g. underflowed or
     /// infinite times) replays through [`PlanKernel::evaluate_spec`],
     /// which is the bit-exact oracle by construction.
-    pub fn evaluate_columns_chunk(&self, cols: &ProjectionColumns, range: std::ops::Range<usize>) -> ColumnsChunk {
-        let mut chunk = ColumnsChunk::zeroed(range.start, range.len(), cols.slot_count());
-        let layout = cols.layout();
-        let mut target = chunk.target();
-        self.fill_columns(range.start, &layout, &mut target);
-        chunk
-    }
-
-    /// The columnar fill engine behind [`PlanKernel::evaluate_columns`]
-    /// (arena-direct) and [`PlanKernel::evaluate_columns_chunk`]
-    /// (chunk-buffered): evaluates `layout.specs[start + r]` into target
-    /// row `r` for the whole target.
+    ///
+    /// # Panics
+    /// If the target's arena was built from a different kernel.
     // lane loops are written `for w in 0..W` even where an iterator would
     // do: the fixed-width indexed form matches `lanes.rs` and is what the
     // autovectorizer reliably lowers to packed ops
     #[allow(clippy::needless_range_loop)]
-    fn fill_columns(
-        &self,
-        start: usize,
-        layout: &crate::columns::ColumnsLayout<'_>,
-        target: &mut crate::columns::ColumnsTarget<'_>,
-    ) {
-        assert_eq!(layout.fingerprint, self.fingerprint, "columns arena built from a foreign kernel");
+    pub fn fill_columns(&self, target: &mut ColumnsTarget<'_>) {
+        assert_eq!(target.fingerprint, self.fingerprint, "columns arena built from a foreign kernel");
         const W: usize = LANES;
         let len = target.len;
-        let k = layout.slots;
+        let k = target.slots;
+        let maps = target.maps;
         /// Per-slot lane accumulator, fused so one slot touch hits one
         /// contiguous struct instead of four scattered vectors.
         #[derive(Clone, Copy)]
@@ -322,7 +305,7 @@ impl PlanKernel {
         // slot index of every predicted-participating statement —
         // writeback touches only these rows (the rest of the arena row
         // is pre-zeroed)
-        let touched = &layout.maps.touched;
+        let touched = &maps.touched;
 
         let n = self.node.len();
         let stmt_col = &self.stmt[..n];
@@ -331,7 +314,7 @@ impl PlanKernel {
         let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
         let participates = &self.stmt_participates[..n];
         let first_touch = &self.first_touch[..n];
-        let block_slot = &layout.maps.block_slot[..n];
+        let block_slot = &maps.block_slot[..n];
 
         let mut rel = 0usize;
         while rel < len {
@@ -339,7 +322,7 @@ impl PlanKernel {
             // window's first spec: full lane arithmetic, writeback only
             // of the `valid` real lanes
             let valid = (len - rel).min(W);
-            let window = &layout.specs[start + rel..start + rel + valid];
+            let window = &target.specs[rel..rel + valid];
             let lanes = if valid == W {
                 xflow_hw::SpecLanes::<W>::pack(window)
             } else {
@@ -457,8 +440,8 @@ impl PlanKernel {
                     }
                 } else {
                     // degenerate lane: replay through the scalar oracle
-                    let p = self.evaluate_spec(&layout.specs[start + r]);
-                    target.fill_from_projection(r, &layout.maps.slot_of, &p);
+                    let p = self.evaluate_spec(&target.specs[r]);
+                    target.fill_from_projection(r, &maps.slot_of, &p);
                 }
             }
             rel += valid;
@@ -633,13 +616,13 @@ func main() {
         let whole = kernel.evaluate_columns(&specs);
         for split in [1, 2, 3, 4, 5, 8] {
             let mut cols = ProjectionColumns::new(&kernel, specs.clone());
-            let mut start = 0;
-            while start < specs.len() {
-                let end = (start + split).min(specs.len());
-                let chunk = kernel.evaluate_columns_chunk(&cols, start..end);
-                cols.install(chunk);
-                start = end;
+            let mut targets = cols.split_targets(split);
+            assert_eq!(targets.len(), specs.len().div_ceil(split));
+            // fill back to front: no target depends on another's rows
+            for target in targets.iter_mut().rev() {
+                kernel.fill_columns(target);
             }
+            drop(targets);
             for i in 0..specs.len() {
                 assert_eq!(cols.total(i).to_bits(), whole.total(i).to_bits(), "split {split} point {i}");
                 assert_eq!(cols.memory_bound(i), whole.memory_bound(i), "split {split} point {i}");

@@ -21,7 +21,7 @@ pub mod quality;
 pub mod select;
 
 pub use analysis::{project, project_single_pass, NodeCost, Projection, StmtCost, StmtCosts};
-pub use columns::{ColumnsChunk, ProjectionColumns, SlotCost};
+pub use columns::{ColumnsTarget, ProjectionColumns, SlotCost};
 pub use hotpath::{extract, render, HotPath};
 pub use kernel::{lane_width, PlanKernel};
 pub use miniapp::build_miniapp;

@@ -900,6 +900,10 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             if inv.axes.is_empty() {
                 return Err("`sweep` needs at least one --axis NAME=V1,V2,...".into());
             }
+            if DesignSpace::grid_len(&inv.axes).is_none() {
+                let lens: Vec<usize> = inv.axes.iter().map(|a| a.values.len()).collect();
+                return Err(format!("sweep grid is too large: the axis lengths {lens:?} multiply past usize"));
+            }
             let app = modeled(inv, src, session_out)?;
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
             let opts = match &inv.recorder {
@@ -1411,6 +1415,14 @@ fn main() {
             assert!(err.contains("bad value"), "{err}");
             let err = run(&args(&["sweep", path, "--axis", "noequals"])).unwrap_err();
             assert!(err.contains("expected NAME=V1"), "{err}");
+            // 256^8 = 2^64 points: refused before anything is built
+            let axis = format!("mlp={}", (1..=256).map(|v| v.to_string()).collect::<Vec<_>>().join(","));
+            let mut argv = vec!["sweep", path, "--no-cache"];
+            for _ in 0..8 {
+                argv.extend(["--axis", axis.as_str()]);
+            }
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(err.contains("too large") && err.contains("[256, 256, 256, 256, 256, 256, 256, 256]"), "{err}");
         });
     }
 

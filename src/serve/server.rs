@@ -449,8 +449,7 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
     }
     // the grid is the product of the axis lengths: refuse it before any
     // machine is built, so no request can ask for an unbounded allocation
-    let points = r.axes.iter().try_fold(1usize, |acc, a| acc.checked_mul(a.values.len()));
-    if points.is_none_or(|p| p > MAX_SWEEP_POINTS) {
+    if DesignSpace::grid_len(&r.axes).is_none_or(|p| p > MAX_SWEEP_POINTS) {
         return HttpResponse::error(413, &format!("sweep grid exceeds {MAX_SWEEP_POINTS} points"));
     }
     let app = match model(inner, &r) {

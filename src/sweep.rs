@@ -9,27 +9,32 @@
 //!
 //! [`DesignSpace`] enumerates the candidate machines (an explicit list via
 //! [`DesignSpace::from_machines`], or the cartesian product of parameter
-//! [`Axis`] values via [`DesignSpace::grid`]); [`DesignSpace::sweep_opts`]
-//! fans the points across the crate's chunked work-stealing pool
-//! ([`crate::pool`]) and returns a [`Sweep`] holding one lightweight
-//! [`SweepPoint`] summary per point plus the columnar
-//! [`ProjectionColumns`] arena behind them.
+//! [`Axis`] values via [`DesignSpace::grid`], which formats each axis's
+//! `name=value` labels once and assembles every point's name from them);
+//! [`DesignSpace::sweep_opts`] fans the points across the crate's chunked
+//! work-stealing pool ([`crate::pool`]) and returns a [`Sweep`] holding
+//! one lightweight [`SweepPoint`] summary per point plus the columnar
+//! [`ProjectionColumns`] arena behind them. The sweep shares the space's
+//! machines; it never copies them.
 //!
 //! Sweep output is **columnar**: the engine never materializes a
-//! per-point [`Projection`](xflow_hotspot::Projection). Each pool chunk
-//! fills its range of one structure-of-arrays arena through the
-//! lane-vectorized [`xflow_hotspot::PlanKernel::evaluate_columns_chunk`]
-//! — total time, block Tc/Tm/To, achieved δ, and the dense per-statement
-//! cost matrix as columns. A full projection is *hydrated* on demand with
+//! per-point [`Projection`](xflow_hotspot::Projection). The arena is split
+//! into one [`ColumnsTarget`] per pool chunk, and each chunk fills its own
+//! rows in place through the lane-vectorized
+//! [`xflow_hotspot::PlanKernel::fill_columns`] — total time, block
+//! Tc/Tm/To, achieved δ, and the dense per-statement cost matrix as
+//! columns — then, in the same pass, folds those rows into its points'
+//! summaries (top unit, memory-bound verdict) with fold buffers it reuses
+//! across its rows. A full projection is *hydrated* on demand with
 //! [`Sweep::hydrate`] only when a caller drills into one point.
 //!
 //! Grid traversal is row-major (last axis fastest), so adjacent points
 //! within a chunk differ in one axis. Results are deterministic and
-//! independent of the worker-thread count and the chunk size: chunks
-//! install into the arena at their point range, and the lane kernel is
-//! bit-identical to the scalar evaluator, so the output never depends on
-//! scheduling. Tune both knobs, and attach a telemetry recorder, with
-//! [`SweepOptions`].
+//! independent of the worker-thread count and the chunk size: every
+//! arena row belongs to exactly one chunk, summaries merge back by chunk
+//! index, and the lane kernel is bit-identical to the scalar evaluator,
+//! so the output never depends on scheduling. Tune both knobs, and attach
+//! a telemetry recorder, with [`SweepOptions`].
 //!
 //! ```
 //! use xflow::{bgq, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
@@ -52,9 +57,11 @@
 //! assert_eq!(mp.total.to_bits(), best.total.to_bits());
 //! ```
 
+use std::sync::Arc;
+
 use crate::pipeline::{fold_projection, MachineProjection, ModeledApp};
 use crate::units::Units;
-use xflow_hotspot::{ProjectionColumns, SlotCost};
+use xflow_hotspot::{ColumnsTarget, ProjectionColumns, SlotCost};
 use xflow_hw::{MachineModel, MachineSpec};
 use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
@@ -159,44 +166,78 @@ impl Axis {
 
 /// A set of candidate machines to project an application on.
 pub struct DesignSpace {
-    machines: Vec<MachineModel>,
+    /// Shared with every [`Sweep`] of the space.
+    machines: Arc<Vec<MachineModel>>,
 }
 
 impl DesignSpace {
     /// Sweep an explicit list of machines (e.g. the paper's BG/Q vs Xeon
     /// cross-machine comparison).
     pub fn from_machines<I: IntoIterator<Item = MachineModel>>(machines: I) -> Self {
-        Self { machines: machines.into_iter().collect() }
+        Self { machines: Arc::new(machines.into_iter().collect()) }
+    }
+
+    /// Number of points [`DesignSpace::grid`] builds from `axes` (an axis
+    /// with no values counts as one), or `None` when the product overflows
+    /// `usize`.
+    pub fn grid_len(axes: &[Axis]) -> Option<usize> {
+        axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len().max(1)))
     }
 
     /// Cartesian product of axis values applied to a base machine.
     ///
     /// Point order is row-major in axis order (the last axis varies
     /// fastest); point 0 is the base machine with every axis at its first
-    /// value. Machines are renamed `base[axis=value,…]` so reports stay
-    /// readable.
+    /// value. Axes apply last axis first, so when two axes write the same
+    /// field the earlier axis wins. Machines are renamed
+    /// `base[axis=value,…]` so reports stay readable; each `axis=value`
+    /// label is formatted once per axis value, not once per point.
+    ///
+    /// # Panics
+    /// If the number of points ([`DesignSpace::grid_len`]) overflows
+    /// `usize`.
     pub fn grid(base: MachineModel, axes: Vec<Axis>) -> Self {
-        let n: usize = axes.iter().map(|a| a.values.len().max(1)).product();
+        let n = Self::grid_len(&axes).unwrap_or_else(|| {
+            let lens: Vec<usize> = axes.iter().map(|a| a.values.len()).collect();
+            panic!("design-space grid overflows usize: axis lengths {lens:?}")
+        });
+        let labels: Vec<Vec<String>> =
+            axes.iter().map(|a| a.values.iter().map(|v| format!("{}={v}", a.name)).collect()).collect();
+        let mut template = base;
+        let base_name = std::mem::take(&mut template.name);
+        let name_len = base_name.len()
+            + 2
+            + labels.iter().map(|l| l.iter().map(String::len).max().unwrap_or(0) + 1).sum::<usize>();
+        let mut coords = vec![0usize; axes.len()];
         let mut machines = Vec::with_capacity(n);
         for i in 0..n {
-            let mut m = base.clone();
-            let mut label = String::new();
-            let mut rem = i;
+            let mut m = template.clone();
             // decode the row-major index, last axis fastest
-            for axis in axes.iter().rev() {
+            let mut rem = i;
+            for (a, axis) in axes.iter().enumerate().rev() {
                 let k = axis.values.len().max(1);
-                let j = rem % k;
+                coords[a] = rem % k;
                 rem /= k;
-                if let Some(&v) = axis.values.get(j) {
+                if let Some(&v) = axis.values.get(coords[a]) {
                     (axis.apply)(&mut m, v);
-                    let part = format!("{}={v}", axis.name);
-                    label = if label.is_empty() { part } else { format!("{part},{label}") };
                 }
             }
-            m.name = format!("{}[{}]", base.name, label);
+            let mut name = String::with_capacity(name_len);
+            name.push_str(&base_name);
+            name.push('[');
+            let mut sep = "";
+            for (l, &j) in labels.iter().zip(&coords) {
+                if let Some(label) = l.get(j) {
+                    name.push_str(sep);
+                    name.push_str(label);
+                    sep = ",";
+                }
+            }
+            name.push(']');
+            m.name = name;
             machines.push(m);
         }
-        Self { machines }
+        Self { machines: Arc::new(machines) }
     }
 
     /// The candidate machines, in point order.
@@ -217,23 +258,24 @@ impl DesignSpace {
     /// Project `app` on every point with the extended roofline model and
     /// the app's cached kernel — the one sweep engine.
     ///
-    /// Every machine is pre-resolved into a [`MachineSpec`], then the pool
-    /// ([`crate::pool`]) fills disjoint point ranges of one
-    /// [`ProjectionColumns`] arena through the lane-vectorized
-    /// [`evaluate_columns_chunk`](xflow_hotspot::PlanKernel::evaluate_columns_chunk);
-    /// no per-point [`Projection`](xflow_hotspot::Projection) is ever
-    /// materialized. Point summaries fold the arena's dense statement rows
-    /// into units.
+    /// Every machine is pre-resolved into a [`MachineSpec`], the
+    /// [`ProjectionColumns`] arena is split into one [`ColumnsTarget`] per
+    /// chunk, and the pool ([`crate::pool`]) hands each chunk its target:
+    /// the chunk fills its rows in place through the lane-vectorized
+    /// [`fill_columns`](xflow_hotspot::PlanKernel::fill_columns) and folds
+    /// them into its points' summaries. No per-point
+    /// [`Projection`](xflow_hotspot::Projection) is ever materialized.
     ///
     /// Under an enabled recorder the sweep runs inside a `sweep` span
     /// (points, threads, chunk), each chunk inside a `sweep.chunk` span
     /// (`start`, `points`), and every finished chunk adds its point count
     /// to the `sweep.points` counter (hook an
-    /// [`xflow_obs::ProgressTicker`] on it for a live ticker).
+    /// [`xflow_obs::ProgressTicker`] on it for a live ticker). Traced and
+    /// untraced sweeps run the same fill.
     ///
-    /// Chunks install at their point range, so the output is independent
-    /// of the thread count, the chunk size and the recorder (enforced by
-    /// `to_bits` tests).
+    /// Every arena row belongs to exactly one chunk and summaries merge by
+    /// chunk index, so the output is independent of the thread count, the
+    /// chunk size and the recorder (enforced by `to_bits` tests).
     pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions<'_>) -> Sweep {
         let rec = opts.recorder;
         let kernel = app.kernel();
@@ -254,44 +296,35 @@ impl DesignSpace {
         };
 
         let mut cols = ProjectionColumns::new(kernel, self.machines.iter().map(MachineSpec::resolve).collect());
-        let filled = crate::pool::map_chunks(n, threads, chunk, |range| {
+        let fold = UnitFold::new(&app.units, &cols);
+        let chunks = crate::pool::map_owned(cols.split_targets(chunk), threads, |mut target| {
             let span = if enabled {
                 rec.span_start(
                     "sweep.chunk",
-                    &[("start", AttrValue::U64(range.start as u64)), ("points", AttrValue::U64(range.len() as u64))],
+                    &[
+                        ("start", AttrValue::U64(target.start() as u64)),
+                        ("points", AttrValue::U64(target.len() as u64)),
+                    ],
                 )
             } else {
                 SpanId::NONE
             };
-            let points = range.len() as u64;
-            let filled = kernel.evaluate_columns_chunk(&cols, range);
+            kernel.fill_columns(&mut target);
+            let points = fold.summarize_chunk(&target, &self.machines);
             if enabled {
                 rec.span_end(span, &[]);
-                rec.add("sweep.points", points);
+                rec.add("sweep.points", target.len() as u64);
             }
-            filled
+            points
         });
-        for c in filled {
-            cols.install(c);
+        let mut points = Vec::with_capacity(n);
+        for c in chunks {
+            points.extend(c);
         }
-
-        let fold = UnitFold::new(&app.units, &cols);
-        let points = (0..n)
-            .map(|i| {
-                let (top_unit, memory_bound) = fold.summarize(cols.stmt_row(i));
-                SweepPoint {
-                    index: i,
-                    machine: self.machines[i].name.clone(),
-                    total: cols.total(i),
-                    top_unit,
-                    memory_bound,
-                }
-            })
-            .collect();
         if enabled {
             rec.span_end(sweep_span, &[]);
         }
-        Sweep { points, machines: self.machines.clone(), columns: cols, fold }
+        Sweep { points, machines: Arc::clone(&self.machines), columns: cols, fold }
     }
 }
 
@@ -323,42 +356,42 @@ impl UnitFold {
         Self { unit_ids, slot_unit }
     }
 
-    /// Fold one dense statement row into `(top unit, top unit is
-    /// memory-bound)` — the two summary facts a [`SweepPoint`] carries.
-    fn summarize(&self, row: impl Iterator<Item = SlotCost>) -> (Option<StmtId>, bool) {
+    /// Fold every row of a filled chunk into its [`SweepPoint`]s. One set
+    /// of per-unit buffers serves all of the chunk's rows.
+    fn summarize_chunk(&self, target: &ColumnsTarget<'_>, machines: &[MachineModel]) -> Vec<SweepPoint> {
         let k = self.unit_ids.len();
         let mut total = vec![0.0f64; k];
         let mut tc = vec![0.0f64; k];
         let mut tm = vec![0.0f64; k];
         let mut present = vec![false; k];
-        for sc in row {
-            let u = self.slot_unit[sc.slot] as usize;
-            total[u] += sc.total;
-            tc[u] += sc.tc;
-            tm[u] += sc.tm;
-            present[u] = true;
-        }
-        // max by (time desc, unit id asc) — the head of the full ranking
-        let mut top: Option<usize> = None;
-        for u in 0..k {
-            if !present[u] {
-                continue;
-            }
-            top = Some(match top {
-                None => u,
-                Some(b) => {
-                    if total[u] > total[b] || (total[u] == total[b] && self.unit_ids[u] < self.unit_ids[b]) {
-                        u
-                    } else {
-                        b
-                    }
+        (0..target.len())
+            .map(|r| {
+                total.fill(0.0);
+                tc.fill(0.0);
+                tm.fill(0.0);
+                present.fill(false);
+                for sc in target.stmt_row(r) {
+                    let u = self.slot_unit[sc.slot] as usize;
+                    total[u] += sc.total;
+                    tc[u] += sc.tc;
+                    tm[u] += sc.tm;
+                    present[u] = true;
                 }
-            });
-        }
-        match top {
-            Some(u) => (Some(self.unit_ids[u]), tm[u] > tc[u]),
-            None => (None, false),
-        }
+                // max by (time desc, unit id asc) — the head of the full ranking
+                let beats = |u: usize, b: usize| {
+                    total[u] > total[b] || (total[u] == total[b] && self.unit_ids[u] < self.unit_ids[b])
+                };
+                let top = (0..k).filter(|&u| present[u]).reduce(|b, u| if beats(u, b) { u } else { b });
+                let index = target.start() + r;
+                SweepPoint {
+                    index,
+                    machine: machines[index].name.clone(),
+                    total: target.total(r),
+                    top_unit: top.map(|u| self.unit_ids[u]),
+                    memory_bound: top.is_some_and(|u| tm[u] > tc[u]),
+                }
+            })
+            .collect()
     }
 
     /// Full unit ranking of one dense statement row (time desc, id asc) —
@@ -417,7 +450,7 @@ pub struct SweepDelta {
 pub struct Sweep {
     /// One entry per design-space point, in point order.
     pub points: Vec<SweepPoint>,
-    machines: Vec<MachineModel>,
+    machines: Arc<Vec<MachineModel>>,
     columns: ProjectionColumns,
     fold: UnitFold,
 }
@@ -474,18 +507,24 @@ impl Sweep {
     /// ranking shifts, and bottleneck flips — the co-design questions a
     /// sweep exists to answer.
     pub fn deltas(&self) -> Vec<SweepDelta> {
-        let Some(base) = self.points.first() else { return Vec::new() };
-        let base_ranking = self.unit_ranking(0);
-        self.points
-            .iter()
-            .map(|p| SweepDelta {
-                index: p.index,
-                machine: p.machine.clone(),
-                speedup: if p.total > 0.0 { base.total / p.total } else { f64::INFINITY },
-                ranking_changed: self.unit_ranking(p.index) != base_ranking,
-                bottleneck_flipped: p.memory_bound != base.memory_bound,
-            })
-            .collect()
+        let Some((base, base_ranking)) = self.baseline() else { return Vec::new() };
+        self.points.iter().map(|p| self.delta(p, base, &base_ranking)).collect()
+    }
+
+    /// Point 0 and its unit ranking, the reference every delta compares
+    /// against.
+    fn baseline(&self) -> Option<(&SweepPoint, Vec<StmtId>)> {
+        self.points.first().map(|p| (p, self.unit_ranking(0)))
+    }
+
+    fn delta(&self, p: &SweepPoint, base: &SweepPoint, base_ranking: &[StmtId]) -> SweepDelta {
+        SweepDelta {
+            index: p.index,
+            machine: p.machine.clone(),
+            speedup: if p.total > 0.0 { base.total / p.total } else { f64::INFINITY },
+            ranking_changed: self.unit_ranking(p.index) != base_ranking,
+            bottleneck_flipped: p.memory_bound != base.memory_bound,
+        }
     }
 }
 
@@ -527,13 +566,15 @@ pub fn format_sweep(sweep: &Sweep, units: &crate::units::Units) -> String {
 
 /// Render the `k` fastest points of a sweep as an aligned table, best
 /// first — the `xflow sweep --top` view, ranked straight off the totals
-/// column without hydrating any point.
+/// column without hydrating any point. Deltas are computed for the `k`
+/// printed rows only.
 pub fn format_sweep_ranked(sweep: &Sweep, units: &crate::units::Units, k: usize) -> String {
     let mut out = String::new();
     write_sweep_header(&mut out);
-    let deltas = sweep.deltas();
-    for p in sweep.top(k) {
-        write_sweep_row(&mut out, p, &deltas[p.index], units);
+    if let Some((base, base_ranking)) = sweep.baseline() {
+        for p in sweep.top(k) {
+            write_sweep_row(&mut out, p, &sweep.delta(p, base, &base_ranking), units);
+        }
     }
     out
 }
@@ -541,7 +582,7 @@ pub fn format_sweep_ranked(sweep: &Sweep, units: &crate::units::Units, k: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xflow_hw::{bgq, xeon};
+    use xflow_hw::{bgq, generic, xeon};
     use xflow_workloads::Scale;
 
     fn cfd_app() -> ModeledApp {
@@ -563,6 +604,167 @@ mod tests {
         assert_eq!(space.machines()[2].dram_bw_gbs, 20.0);
         assert!(space.machines()[0].name.contains("dram_bw_gbs=10"));
         assert!(space.machines()[0].name.contains("mlp=2"));
+    }
+
+    /// The per-point construction `grid` replaced (per-axis `format!`,
+    /// prepended labels), kept as the oracle for its names and machines.
+    fn grid_oracle(base: &MachineModel, axes: &[Axis]) -> Vec<MachineModel> {
+        let n: usize = axes.iter().map(|a| a.values.len().max(1)).product();
+        (0..n)
+            .map(|i| {
+                let mut m = base.clone();
+                let mut label = String::new();
+                let mut rem = i;
+                for axis in axes.iter().rev() {
+                    let k = axis.values.len().max(1);
+                    let j = rem % k;
+                    rem /= k;
+                    if let Some(&v) = axis.values.get(j) {
+                        (axis.apply)(&mut m, v);
+                        let part = format!("{}={v}", axis.name);
+                        label = if label.is_empty() { part } else { format!("{part},{label}") };
+                    }
+                }
+                m.name = format!("{}[{}]", base.name, label);
+                m
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grid_names_and_machines_match_the_per_point_oracle() {
+        let pow2: Vec<f64> = (0..8).map(|e| 8.0 * 2f64.powi(e)).collect();
+        let odd: Vec<f64> = (1..=16).map(|i| 10.0 * i as f64).collect();
+        let freq: Vec<f64> = (0..16).map(|i| 1.1 + 0.2 * i as f64).collect();
+        let by = |name: &str, values: &[f64]| Axis::by_name(name, values).unwrap();
+        let grids: Vec<(MachineModel, Vec<Axis>)> = vec![
+            // the benchmark's grid shapes: 2-, 3- and 4-axis, one-value axes
+            (bgq(), vec![by("dram_bw_gbs", &pow2), by("mlp", &pow2)]),
+            (xeon(), vec![by("dram_bw_gbs", &odd), by("freq_ghz", &freq[..8])]),
+            (
+                bgq(),
+                vec![
+                    by("cores", &[16.0]),
+                    by("dram_bw_gbs", &pow2),
+                    by("mlp", &odd[..4]),
+                    by("vector_lanes", &[2.0, 4.0]),
+                ],
+            ),
+            (xeon(), vec![by("cores", &[8.0, 12.0, 16.0, 24.0]), by("dram_bw_gbs", &odd), by("freq_ghz", &freq)]),
+            // an axis with no values: it adds no label and applies nothing
+            (
+                bgq(),
+                vec![
+                    by("mlp", &[2.0, 4.0]),
+                    Axis::new("cores", &[], |m, v| m.cores = v as u32),
+                    by("dram_bw_gbs", &[9.5]),
+                ],
+            ),
+            (bgq(), vec![Axis::new("mlp", &[], |m, v| m.mlp = v)]),
+            // two axes writing one field: the earlier axis applies last and wins
+            (xeon(), vec![by("mlp", &[2.0, 4.0, 8.0]), by("mlp", &[16.0, 32.0])]),
+            // values whose `Display` is long, exponent-like or non-finite
+            (
+                generic(),
+                vec![
+                    by("l1_hit_rate", &[1e-7, 0.1 + 0.2, -0.0]),
+                    by("freq_ghz", &[1e21, 1.5e300, f64::INFINITY, f64::NAN]),
+                    by("mlp", &[f64::MIN_POSITIVE, 123456789.125]),
+                ],
+            ),
+        ];
+        for (base, axes) in grids {
+            let expect = grid_oracle(&base, &axes);
+            let space = DesignSpace::grid(base, axes);
+            assert_eq!(space.len(), expect.len());
+            for (got, want) in space.machines().iter().zip(&expect) {
+                assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn grid_len_is_checked() {
+        let wide = || Axis::mlp(&[1.0; 256]);
+        assert_eq!(DesignSpace::grid_len(&[]), Some(1));
+        assert_eq!(DesignSpace::grid_len(&[wide(), Axis::new("mlp", &[], |m, v| m.mlp = v)]), Some(256));
+        assert_eq!(DesignSpace::grid_len(&vec![wide(); 7]), 256usize.checked_pow(7));
+        // 256^8 = 2^64 wraps to 0 unchecked
+        assert_eq!(DesignSpace::grid_len(&vec![wide(); 8]), None);
+        let err = std::panic::catch_unwind(|| DesignSpace::grid(bgq(), vec![wide(); 8]).len()).expect_err("must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("[256, 256, 256, 256, 256, 256, 256, 256]"), "{msg}");
+    }
+
+    #[test]
+    fn in_chunk_summaries_match_a_post_hoc_fold_for_every_schedule() {
+        // infinite-frequency machines take the degenerate-lane replay; on
+        // SRAD the top unit and the bottleneck both move across the grid
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![
+                Axis::freq_ghz(&[1.6, f64::INFINITY, 1000.0]),
+                Axis::mlp(&[1.0, 4.0, 64.0]),
+                Axis::dram_bw(&[0.01, 10.0, 100.0, 1000.0]),
+            ],
+        );
+        for w in [xflow_workloads::cfd(), xflow_workloads::srad()] {
+            let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
+            // post-hoc oracle: fold each finished arena row into units, in
+            // ascending slot order, and take the (time desc, id asc) head
+            let post_hoc = |sweep: &Sweep, i: usize| {
+                let mut units: Vec<(StmtId, f64, f64, f64)> = Vec::new();
+                for sc in sweep.columns().unwrap().stmt_row(i) {
+                    let unit = app.units.unit_of(sc.stmt);
+                    let at = units.iter().position(|u| u.0 == unit).unwrap_or_else(|| {
+                        units.push((unit, 0.0, 0.0, 0.0));
+                        units.len() - 1
+                    });
+                    units[at].1 += sc.total;
+                    units[at].2 += sc.tc;
+                    units[at].3 += sc.tm;
+                }
+                let top =
+                    units.iter().copied().reduce(|b, u| if u.1 > b.1 || (u.1 == b.1 && u.0 < b.0) { u } else { b });
+                (top.map(|u| u.0), top.is_some_and(|u| u.3 > u.2))
+            };
+            let mut summaries = std::collections::BTreeSet::new();
+            for threads in [1, 2, 3, 8] {
+                for chunk in [1, 3, 64] {
+                    let sweep = space.sweep_opts(&app, SweepOptions { threads, chunk, ..SweepOptions::default() });
+                    assert_eq!(sweep.points.len(), 36);
+                    for (i, p) in sweep.points.iter().enumerate() {
+                        let ctx = format!("{} threads={threads} chunk={chunk} point {i}", w.name);
+                        assert_eq!(p.index, i, "{ctx}");
+                        assert_eq!(p.machine, space.machines()[i].name, "{ctx}");
+                        assert_eq!(p.total.to_bits(), sweep.columns().unwrap().total(i).to_bits(), "{ctx}");
+                        assert_eq!((p.top_unit, p.memory_bound), post_hoc(&sweep, i), "{ctx}");
+                        summaries.insert((p.top_unit.expect("projected time"), p.memory_bound));
+                    }
+                }
+            }
+            let bounds: std::collections::BTreeSet<bool> = summaries.iter().map(|s| s.1).collect();
+            assert_eq!(bounds.len(), 2, "{}: the grid must cover both bottlenecks", w.name);
+            if w.name == "SRAD" {
+                let tops: std::collections::BTreeSet<StmtId> = summaries.iter().map(|s| s.0).collect();
+                assert!(tops.len() >= 2, "SRAD's top unit must move across the grid: {tops:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranked_table_matches_the_full_deltas() {
+        let app = cfd_app();
+        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[1.0, 10.0, 100.0]), Axis::mlp(&[1.0, 8.0, 64.0])]);
+        let sweep = sweep(&space, &app, 2);
+        let deltas = sweep.deltas();
+        let mut expect = String::new();
+        write_sweep_header(&mut expect);
+        for p in sweep.top(4) {
+            write_sweep_row(&mut expect, p, &deltas[p.index], &app.units);
+        }
+        assert_eq!(format_sweep_ranked(&sweep, &app.units, 4), expect);
+        assert!(deltas.iter().any(|d| d.ranking_changed || d.bottleneck_flipped), "the grid must move the bottleneck");
     }
 
     #[test]

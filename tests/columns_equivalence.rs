@@ -116,15 +116,26 @@ proptest! {
             assert_hydrated_matches_scalar(&hydrated, &scalar, &ctx);
         }
 
-        // chunked fill with arbitrary boundaries must be bit-stable too
+        // the split in-place fill with arbitrary boundaries must be
+        // bit-stable too, whatever order the targets are filled in
         let mut chunked = ProjectionColumns::new(&kernel, specs.clone());
-        let mut start = 0;
-        while start < specs.len() {
-            let end = (start + chunk).min(specs.len());
-            let part = kernel.evaluate_columns_chunk(&chunked, start..end);
-            chunked.install(part);
-            start = end;
+        let mut targets = chunked.split_targets(chunk);
+        prop_assert_eq!(targets.len(), specs.len().div_ceil(chunk));
+        for (t, target) in targets.iter().enumerate() {
+            prop_assert_eq!(target.start(), t * chunk);
+            prop_assert_eq!(target.len(), chunk.min(specs.len() - t * chunk));
         }
+        for target in targets.iter_mut().rev() {
+            kernel.fill_columns(target);
+            for r in 0..target.len() {
+                let i = target.start() + r;
+                prop_assert_eq!(target.total(r).to_bits(), cols.total(i).to_bits(), "target total {}", i);
+                let a: Vec<_> = target.stmt_row(r).map(|s| (s.slot, s.total.to_bits(), s.tm.to_bits())).collect();
+                let b: Vec<_> = cols.stmt_row(i).map(|s| (s.slot, s.total.to_bits(), s.tm.to_bits())).collect();
+                prop_assert_eq!(a, b, "target stmt row {}", i);
+            }
+        }
+        drop(targets);
         for i in 0..specs.len() {
             prop_assert_eq!(chunked.total(i).to_bits(), cols.total(i).to_bits(), "chunked total {}", i);
             prop_assert_eq!(chunked.delta(i).to_bits(), cols.delta(i).to_bits(), "chunked delta {}", i);
